@@ -42,7 +42,11 @@ def _cmd_run(args: argparse.Namespace) -> None:
     config = parse_config(args.config)
     env_workers = os.environ.get("ALIGN_LAB_WORKERS")
     if env_workers:
-        config = with_workers(config, int(env_workers))
+        try:
+            workers = int(env_workers)
+        except ValueError as exc:
+            raise ParameterError(f"ALIGN_LAB_WORKERS is not an integer: {env_workers!r}") from exc
+        config = with_workers(config, workers)
     result = run(config)
     payload = {
         "csv": str(result.csv_path),

@@ -200,9 +200,16 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     alpha = parsed("alpha")
     if alpha is None:
         raise ConfigError("alpha is required")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     beta, gamma = parsed("beta"), parsed("gamma")
     if (beta is None) != (gamma is None):
         raise ConfigError("beta and gamma must be given together")
+    if beta is not None and not (beta > 0.0 and gamma > 0.0):
+        raise ConfigError(f"beta and gamma must be positive, got {beta}, {gamma}")
+    limit = parsed("limit", None)
+    if limit is not None and limit < 1:
+        raise ConfigError(f"limit must be >= 1, got {limit}")
     force_large = parsed("force_large", False)
 
     for n, q, s in points:
@@ -226,7 +233,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         workers=max(1, parsed("workers", 1)),
         output=Path(parsed("output")),
         force_large=force_large,
-        limit=parsed("limit", None),
+        limit=limit,
     )
 
 

@@ -159,21 +159,18 @@ def kl_divergence(p: PairDistribution, q_dist: PairDistribution) -> float:
 class Graph:
     """Undirected simple graph on n labeled nodes, 0-indexed.
 
-    Stored as CSR-style per-node sorted neighbor arrays (``indptr`` of length
-    n+1 into ``indices``).  Immutable after construction; safe to share
-    across threads and processes.
+    Stored as the sorted int64 edge keys ``u*n + v`` (u < v), one per edge.
+    Per-node neighbor arrays are built on the first call to ``neighbors``.
+    Immutable after construction; safe to share across threads and processes.
     """
 
-    __slots__ = ("n", "indptr", "indices", "_edges", "_keys")
+    __slots__ = ("n", "_keys", "_adjacency")
 
-    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
+    def __init__(self, n: int, keys: np.ndarray):
         self.n = int(n)
-        self.indptr = indptr
-        self.indices = indices
-        self._edges: np.ndarray | None = None
-        self._keys: np.ndarray | None = None
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
+        keys.setflags(write=False)
+        self._keys = keys
+        self._adjacency: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction --------------------------------------------------
 
@@ -200,17 +197,7 @@ class Graph:
         keys.sort()
         if keys.size and np.any(keys[1:] == keys[:-1]):
             raise ParameterError("duplicate edges are not allowed")
-
-        # CSR from one value sort: src*n + dst orders by (src, dst); dst = key % n
-        sym = np.concatenate([u * n + v, v * n + u])
-        sym.sort()
-        indices = sym % n
-        counts = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        g = cls(n, indptr, indices)
-        g._keys = keys
-        return g
+        return cls(n, keys)
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -225,36 +212,37 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return self.indices.size // 2
+        return self._keys.size
 
     def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
+        u, v = np.divmod(self._keys, self.n)
+        return np.bincount(u, minlength=self.n) + np.bincount(v, minlength=self.n)
 
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbor array of node i (a read-only view)."""
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
+        if self._adjacency is None:
+            u, v = np.divmod(self._keys, self.n)
+            # both orientations as src*n + dst, so one sort orders by (src, dst)
+            both = np.concatenate([self._keys, v * self.n + u])
+            both.sort()
+            starts = np.searchsorted(both, np.arange(self.n + 1, dtype=np.int64) * self.n)
+            targets = both % self.n
+            targets.setflags(write=False)
+            self._adjacency = (starts, targets)
+        starts, targets = self._adjacency
+        return targets[starts[i] : starts[i + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        pos = np.searchsorted(row, v)
-        return bool(pos < row.size and row[pos] == v)
+        key = min(u, v) * self.n + max(u, v)
+        pos = np.searchsorted(self._keys, key)
+        return bool(pos < self._keys.size and self._keys[pos] == key)
 
     def edges(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, sorted lexicographically."""
-        if self._edges is None:
-            src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
-            mask = src < self.indices
-            self._edges = np.column_stack([src[mask], self.indices[mask]])
-            self._edges.setflags(write=False)
-        return self._edges
+        return np.column_stack(np.divmod(self._keys, self.n))
 
     def edge_keys(self) -> np.ndarray:
-        """Sorted int64 keys u*n+v of all edges; used for fast membership probes."""
-        if self._keys is None:
-            e = self.edges()
-            keys = e[:, 0] * self.n + e[:, 1]
-            keys.sort()
-            self._keys = keys
+        """Sorted int64 keys u*n+v (u < v) of all edges, read-only."""
         return self._keys
 
     def density(self) -> float:
@@ -270,14 +258,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-        )
+        return self.n == other.n and np.array_equal(self._keys, other._keys)
 
     def __hash__(self):
-        return hash((self.n, self.indices.tobytes()))
+        return hash((self.n, self._keys.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
@@ -311,20 +295,13 @@ def _er_edge_slots(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
 
 def _slots_to_edges(slots: np.ndarray, n: int) -> np.ndarray:
     """Invert row-major upper-triangle slot indices to (i, j) pairs, i < j."""
-    if slots.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    t = slots.astype(np.float64)
-    b = 2 * n - 1
-    i = np.floor((b - np.sqrt(b * b - 8.0 * t)) / 2.0).astype(np.int64)
-    # row_start(i) = i*n - i*(i+1)/2; fix off-by-one from float rounding
-    row_start = i * n - i * (i + 1) // 2
-    too_low = slots >= row_start + (n - 1 - i)
-    i[too_low] += 1
-    row_start = i * n - i * (i + 1) // 2
-    too_high = slots < row_start
-    i[too_high] -= 1
-    row_start = i * n - i * (i + 1) // 2
-    j = slots - row_start + i + 1
+    # row_start(i) = i*n - i(i+1)/2.  The table takes 8n bytes, less than the
+    # 32m bytes of the row, column and (m, 2) arrays built here whenever the
+    # parent's mean degree 2m/n exceeds 1/2.
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * n - rows * (rows + 1) // 2
+    i = np.searchsorted(row_start, slots, side="right") - 1
+    j = slots - row_start[i] + i + 1
     return np.column_stack([i, j])
 
 

@@ -35,8 +35,11 @@ def read_graph(path: str | Path) -> Graph:
         header = fh.readline().split()
         if len(header) != 2:
             raise ParameterError(f"{path}: first line must be 'n m'")
-        n, m = int(header[0]), int(header[1])
-        data = np.loadtxt(fh, dtype=np.int64, ndmin=2) if m else np.empty((0, 2), np.int64)
+        try:
+            n, m = int(header[0]), int(header[1])
+            data = np.loadtxt(fh, dtype=np.int64, ndmin=2) if m else np.empty((0, 2), np.int64)
+        except ValueError as exc:
+            raise ParameterError(f"{path}: edge file holds a non-integer token ({exc})") from exc
     if data.shape != (m, 2):
         raise ParameterError(f"{path}: expected {m} edge lines, found shape {data.shape}")
     if m and not np.all(data[:, 0] < data[:, 1]):
@@ -57,7 +60,11 @@ def read_permutation(path: str | Path) -> Permutation:
         tokens = fh.read().split()
     if not tokens:
         raise ParameterError(f"{path}: empty permutation file")
-    return Permutation([int(t) for t in tokens])
+    try:
+        image = [int(t) for t in tokens]
+    except ValueError as exc:
+        raise ParameterError(f"{path}: permutation holds a non-integer token ({exc})") from exc
+    return Permutation(image)
 
 
 def write_instance(inst: CorrelatedInstance, directory: str | Path) -> Path:

@@ -26,26 +26,17 @@ from .model import ModelParams, dist_p, dist_q, kl_divergence
 from .perms import ceil_snap, m_alpha
 
 
-@dataclass(frozen=True)
-class PoissonSolver:
-    """Tolerances for the Poisson tail series.
-
-    ``tolerance`` bounds the relative truncation error of the summed tail;
-    ``max_terms`` caps the series length.
-    """
-
-    tolerance: float = 1e-12
-    max_terms: int = 200_000
-
-
-DEFAULT_SOLVER = PoissonSolver()
+# Relative truncation error of the summed Poisson tail, and the cap on its
+# series length.
+_TAIL_TOLERANCE = 1e-12
+_TAIL_MAX_TERMS = 200_000
 
 
 def _log_poisson_pmf(i: int, mu: float) -> float:
     return -mu + i * math.log(mu) - math.lgamma(i + 1)
 
 
-def psi(j: float, mu: float, solver: PoissonSolver = DEFAULT_SOLVER) -> float:
+def psi(j: float, mu: float) -> float:
     """Upper tail P(Po(mu) >= j) for real j >= 0 (via the ceiling of j).
 
     Sums the smaller of the two tails with a stable log-domain pmf recursion
@@ -56,8 +47,8 @@ def psi(j: float, mu: float, solver: PoissonSolver = DEFAULT_SOLVER) -> float:
     idx = ceil_snap(j)
     if idx <= 0:
         return 1.0
-    if idx > solver.max_terms:
-        raise ParameterError(f"tail index {idx} exceeds max_terms={solver.max_terms}")
+    if idx > _TAIL_MAX_TERMS:
+        raise ParameterError(f"tail index {idx} exceeds max_terms={_TAIL_MAX_TERMS}")
     if idx <= mu:
         # lower tail P(Po < idx) is the smaller side
         lower = math.fsum(math.exp(_log_poisson_pmf(i, mu)) for i in range(idx))
@@ -68,11 +59,11 @@ def psi(j: float, mu: float, solver: PoissonSolver = DEFAULT_SOLVER) -> float:
     term = math.exp(log_term)
     total = term
     i = idx
-    while i - idx < solver.max_terms:
+    while i - idx < _TAIL_MAX_TERMS:
         i += 1
         term *= mu / i
         total += term
-        if term <= total * solver.tolerance:
+        if term <= total * _TAIL_TOLERANCE:
             break
     return min(1.0, total)
 
@@ -104,11 +95,9 @@ _CK_GRID = 2000
 
 
 @lru_cache(maxsize=256)
-def _c_k_cached(k: float, tolerance: float, max_terms: int) -> CkResult:
-    solver = PoissonSolver(tolerance, max_terms)
-
+def _c_k_cached(k: float) -> CkResult:
     def ratio(mu: float) -> float:
-        tail = psi(k - 1, mu, solver)
+        tail = psi(k - 1, mu)
         return mu / tail if tail > 0.0 else math.inf
 
     hi = 10.0 * k
@@ -123,7 +112,7 @@ def _c_k_cached(k: float, tolerance: float, max_terms: int) -> CkResult:
     return CkResult(value=fx, argmin=x)
 
 
-def c_k(k: float, solver: PoissonSolver = DEFAULT_SOLVER) -> CkResult:
+def c_k(k: float) -> CkResult:
     """inf over mu > 0 of mu / psi_{k-1}(mu): the k-core emergence constant.
 
     Coarse grid on (0, 10k] followed by golden-section refinement.  k may be
@@ -131,22 +120,22 @@ def c_k(k: float, solver: PoissonSolver = DEFAULT_SOLVER) -> CkResult:
     """
     if not (math.isfinite(k) and k >= 3):
         raise ParameterError(f"k must be >= 3, got {k}")
-    return _c_k_cached(float(k), solver.tolerance, solver.max_terms)
+    return _c_k_cached(float(k))
 
 
-def mu_k(k: float, lam: float, solver: PoissonSolver = DEFAULT_SOLVER) -> float:
+def mu_k(k: float, lam: float) -> float:
     """Largest root of f(mu) = mu - lam * psi_{k-1}(mu), for lam > c_k(k).
 
     Scans downward from mu = lam in steps of lam/1000 for the topmost sign
     change, then bisects the bracketing cell; a golden-section fallback
     handles a dip narrower than the scan step.
     """
-    threshold = c_k(k, solver).value
+    threshold = c_k(k).value
     if not (math.isfinite(lam) and lam > threshold):
         raise NoRootError(f"lam must exceed c_k(k)={threshold:.6g}, got {lam}")
 
     def f(mu: float) -> float:
-        return mu - lam * psi(k - 1, mu, solver)
+        return mu - lam * psi(k - 1, mu)
 
     step = lam / 1000.0
     hi = lam
@@ -303,6 +292,7 @@ def mgf_zk(k_pairs: int, t: float, params: ModelParams) -> float:
 
     With x = e^t - 1, T = p11*x + 1 and D = sigma^2*x, the value is
     lam1^k + lam2^k for the two roots lam = (T +- sqrt(T^2 - 4D)) / 2.
+    Raises ParameterError when the value overflows a double.
     """
     if not isinstance(k_pairs, (int,)) or k_pairs < 1:
         raise ParameterError(f"k_pairs must be a positive integer, got {k_pairs!r}")
@@ -310,7 +300,10 @@ def mgf_zk(k_pairs: int, t: float, params: ModelParams) -> float:
         raise ParameterError(f"t must be a nonnegative real, got {t}")
     p11 = params.q * params.s
     sigma2 = params.q * (params.s - params.q)
-    x = math.expm1(t)
+    try:
+        x = math.expm1(t)
+    except OverflowError:
+        x = math.inf
     trace = p11 * x + 1.0
     det = sigma2 * x
     disc = trace * trace - 4.0 * det
@@ -319,7 +312,13 @@ def mgf_zk(k_pairs: int, t: float, params: ModelParams) -> float:
     root = math.sqrt(disc)
     lam1 = (trace + root) / 2.0
     lam2 = (trace - root) / 2.0
-    return lam1**k_pairs + lam2**k_pairs
+    try:
+        value = lam1**k_pairs + lam2**k_pairs
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParameterError(f"the mgf overflows a double at k_pairs={k_pairs}, t={t}")
+    return value
 
 
 class ZetaResult(NamedTuple):

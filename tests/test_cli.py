@@ -191,10 +191,40 @@ def test_run_worker_env_override(tmp_path, capsys, monkeypatch):
     assert do_run("env2.csv") == plain
 
 
-def test_validation_exit_code(capsys):
-    rc = main(["gen", "--n", "7", "--q", "0.8", "--s", "0.5", "--seed", "1", "--out", "/tmp/x"])
+def _file(tmp_path, name: str, text: str) -> str:
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+VALIDATION_CASES = {
+    "gen-q-above-s": lambda tmp: (
+        ["gen", "--n", "7", "--q", "0.8", "--s", "0.5", "--seed", "1", "--out", str(tmp / "x")]
+    ),
+    "perm-token": lambda tmp: [
+        "decompose",
+        "--pi", _file(tmp, "pi.perm", "0 x 2\n"),
+        "--pistar", _file(tmp, "pistar.perm", "0 1 2\n"),
+    ],
+    "edges-token": lambda tmp: [
+        "kcore", "--graph", _file(tmp, "g.edges", "3 1\n0 y\n"), "--k", "2",
+    ],
+    "workers-env": lambda tmp: [
+        "run", "--config",
+        _file(tmp, "w.cfg", "mode = pistar-good\nn = 20\nq = 0.2\ns = 0.5\nalpha = 0.4\n"
+              f"trials = 1\noutput = {tmp / 'w.csv'}\n"),
+    ],
+    "mgf-overflow": lambda tmp: ["mgf", "--k-pairs", "2", "--t", "1e6", "--q", "0.2", "--s", "0.6"],
+}
+
+
+@pytest.mark.parametrize("case", list(VALIDATION_CASES))
+def test_validation_exit_code(case, tmp_path, capsys, monkeypatch):
+    # only `run` reads the variable; the other subcommands ignore it
+    monkeypatch.setenv("ALIGN_LAB_WORKERS", "abc")
+    rc = main(VALIDATION_CASES[case](tmp_path))
     assert rc == 2
-    assert "validation error" in capsys.readouterr().err
+    assert "validation error:" in capsys.readouterr().err
 
 
 def test_capacity_exit_code(capsys):

@@ -96,8 +96,22 @@ def test_parse_config_rejects_duplicate_key(tmp_path):
         )
 
 
-def test_parse_config_rejects_zero_trials(tmp_path):
-    bad = GOOD_CONFIG.replace("trials = 2", "trials = 0")
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("trials = 2", "trials = 0"),
+        ("alpha = 0.4", "alpha = 1.5"),
+        ("alpha = 0.4", "alpha = 0"),
+        ("workers = 1", "workers = 1\nlimit = -3"),
+        ("workers = 1", "workers = 1\nlimit = 0"),
+        ("workers = 1", "workers = 1\nbeta = 0\ngamma = 0.3"),
+        ("workers = 1", "workers = 1\nbeta = 0.4\ngamma = -1"),
+    ],
+    ids=["trials=0", "alpha=1.5", "alpha=0", "limit=-3", "limit=0", "beta=0", "gamma=-1"],
+)
+def test_parse_config_rejects_out_of_range_value(tmp_path, old, new):
+    # caught at parse time, before any trial generates an instance
+    bad = GOOD_CONFIG.replace(old, new)
     with pytest.raises(ConfigError):
         parse_config(_write_config(tmp_path, bad.format(out=tmp_path / "r.csv")))
 

@@ -21,6 +21,7 @@ from align_lab import (
     kl_divergence,
     make_rng,
 )
+from align_lab.model import _slots_to_edges
 
 # Frozen with a 50-digit mpmath summation of the four cells at q=0.2, s=0.6.
 KL_02_06 = 0.1057337114231780007286040478161704613149249584877
@@ -167,6 +168,19 @@ def test_relabeled_preserves_structure():
     assert h.has_edge(3, 2) and h.has_edge(2, 1)
     assert h.num_edges == g.num_edges
     assert sorted(h.degrees().tolist()) == sorted(g.degrees().tolist())
+
+
+@pytest.mark.parametrize("n", [3, 1000, 10**6 + 3])
+def test_slots_to_edges_at_row_boundaries(n):
+    # first and last slot of rows 0, 1, n-3 and n-2 against the closed form
+    def row_start(i: int) -> int:
+        return i * n - i * (i + 1) // 2
+
+    rows = (0, 1, n - 3, n - 2)
+    slots = [t for i in rows for t in (row_start(i), row_start(i + 1) - 1)]
+    expected = [pair for i in rows for pair in ([i, i + 1], [i, n - 1])]
+    got = _slots_to_edges(np.array(slots, dtype=np.int64), n)
+    assert got.tolist() == expected
 
 
 # -- generator ----------------------------------------------------------------

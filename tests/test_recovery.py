@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from align_lab import (
     CapacityError,
@@ -66,6 +68,28 @@ def test_intersection_degrees_match_graph():
         pi = Permutation.random(8, rng)
         deg = intersection_degrees(g_a, g_b, pi)
         assert deg.tolist() == intersection_graph(g_a, g_b, pi).degrees().tolist()
+
+
+@st.composite
+def _graph_pair_and_permutation(draw):
+    n = draw(st.integers(2, 10))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    unique = st.lists(pairs, unique_by=lambda e: frozenset(e), max_size=n * (n - 1) // 2)
+    return n, draw(unique), draw(unique), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_pair_and_permutation())
+def test_intersection_queries_match_set_oracle(case):
+    n, edges_a, edges_b, image = case
+    g_a, g_b, pi = Graph.from_edges(n, edges_a), Graph.from_edges(n, edges_b), Permutation(image)
+    in_b = {frozenset(e) for e in edges_b}
+    inter = {frozenset(e) for e in edges_a if frozenset((image[e[0]], image[e[1]])) in in_b}
+    assert intersection_degrees(g_a, g_b, pi).tolist() == [
+        sum(1 for e in inter if i in e) for i in range(n)
+    ]
+    assert {frozenset(e) for e in intersection_graph(g_a, g_b, pi).edges().tolist()} == inter
+    assert overlap_objective(g_a, g_b, pi) == len(inter)
 
 
 def test_intersection_size_mismatch():
