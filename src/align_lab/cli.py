@@ -83,12 +83,8 @@ def _cmd_gen(args: argparse.Namespace) -> None:
     )
 
 
-def _load_instance(path: str):
-    return storage.read_instance(path)
-
-
 def _cmd_check_good(args: argparse.Namespace) -> None:
-    inst = _load_instance(args.instance)
+    inst = storage.read_instance(args.instance)
     pi = storage.read_permutation(args.pi)
     report = is_good(inst.g_a, inst.g_b, pi, inst.params, args.alpha)
     _emit(
@@ -103,7 +99,7 @@ def _cmd_check_good(args: argparse.Namespace) -> None:
 
 
 def _cmd_search(args: argparse.Namespace) -> None:
-    inst = _load_instance(args.instance)
+    inst = storage.read_instance(args.instance)
     res = find_good(
         inst.g_a,
         inst.g_b,
@@ -120,7 +116,7 @@ def _cmd_search(args: argparse.Namespace) -> None:
 
 
 def _cmd_map(args: argparse.Namespace) -> None:
-    inst = _load_instance(args.instance)
+    inst = storage.read_instance(args.instance)
     pi_hat = map_estimate(inst.g_a, inst.g_b, force_large=args.force_large)
     _emit(
         {

@@ -14,9 +14,10 @@ nqs/(n*s)).  Modes:
 
 Every trial owns a seed derived from (base_seed, point index, trial index)
 through splitmix64 mixing, touches no shared state, and is therefore safe
-to farm out to a process pool.  Results are sorted by (point, trial) before
-writing, so the CSV is byte-identical for any worker count.  Wall-clock
-times are kept on the in-memory records only; they never enter the CSV.
+to farm out to a process pool.  Trials are dispatched in (point, trial)
+order and the pool returns results in dispatch order, so the CSV is
+byte-identical for any worker count.  Wall-clock times are kept on the
+in-memory records only; they never enter the CSV.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from .errors import ConfigError, ParameterError
 from .model import ModelParams, generate
 from .perms import overlap
 from .recovery import MAX_EXHAUSTIVE_N, find_good, is_good, map_estimate
-from .theory import TheoryReport, theory_report
+from .theory import theory_report
 
 MODES = ("pistar-good", "search-small", "map-small", "sweep")
 
@@ -273,64 +275,57 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class _TrialTask:
-    mode: str
-    n: int
-    q: float
-    s: float
-    alpha: float
-    point_index: int
-    trial_index: int
-    seed: int
-    force_large: bool
-    limit: int | None
-
-
-@dataclass(frozen=True)
-class _TrialOutcome:
-    point_index: int
-    trial_index: int
-    seed: int
-    pistar_good: bool
-    found_good: bool | None
-    overlap: float | None
-    perms_tested: int | None
-    wall_time_ms: float
-
-
-def _execute_trial(task: _TrialTask) -> _TrialOutcome:
+def _execute_trial(config: ExperimentConfig, point_index: int, trial_index: int) -> dict:
+    """Run one trial and return its outcome fields of ``TrialRecord``."""
     start = time.perf_counter()
-    params = ModelParams(task.n, task.q, task.s)
-    inst = generate(params, task.seed)
-    pistar_good = is_good(inst.g_a, inst.g_b, inst.pi_star, params, task.alpha).is_good
+    params = ModelParams(*config.points[point_index])
+    seed = derive_seed(config.base_seed, point_index, trial_index)
+    inst = generate(params, seed)
+    pistar_good = is_good(inst.g_a, inst.g_b, inst.pi_star, params, config.alpha).is_good
     found_good: bool | None = None
     beta_overlap: float | None = None
     perms_tested: int | None = None
-    if task.mode == "search-small":
+    if config.mode == "search-small":
         res = find_good(
-            inst.g_a, inst.g_b, params, task.alpha,
-            limit=task.limit, force_large=task.force_large,
+            inst.g_a, inst.g_b, params, config.alpha,
+            limit=config.limit, force_large=config.force_large,
         )
         found_good = res.permutation is not None
         perms_tested = res.tested
         if res.permutation is not None:
             beta_overlap = overlap(res.permutation, inst.pi_star)
-    elif task.mode == "map-small":
-        pi_hat = map_estimate(inst.g_a, inst.g_b, force_large=task.force_large)
+    elif config.mode == "map-small":
+        pi_hat = map_estimate(inst.g_a, inst.g_b, force_large=config.force_large)
         beta_overlap = overlap(pi_hat, inst.pi_star)
-        perms_tested = math.factorial(task.n)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return _TrialOutcome(
-        point_index=task.point_index,
-        trial_index=task.trial_index,
-        seed=task.seed,
-        pistar_good=pistar_good,
-        found_good=found_good,
-        overlap=beta_overlap,
-        perms_tested=perms_tested,
-        wall_time_ms=wall_ms,
-    )
+        perms_tested = math.factorial(params.n)
+    return {
+        "seed": seed,
+        "pistar_good": pistar_good,
+        "found_good": found_good,
+        "overlap": beta_overlap,
+        "perms_tested": perms_tested,
+        "wall_time_ms": (time.perf_counter() - start) * 1000.0,
+    }
+
+
+def _point_fields(config: ExperimentConfig, n: int, q: float, s: float) -> dict:
+    """The per-point fields of ``TrialRecord``: the grid point and its theory."""
+    rep = theory_report(n, q, s, config.alpha, config.beta, config.gamma)
+    conds = rep.conditions
+    return {
+        "n": n,
+        "q": q,
+        "s": s,
+        "alpha": config.alpha,
+        "kl": rep.kl,
+        "fano_clamped": rep.fano_clamped,
+        "nqs": rep.nqs,
+        **{
+            col: getattr(conds, col) if conds else None
+            for col in CSV_COLUMNS
+            if col.startswith("cond_")
+        },
+    }
 
 
 @dataclass(frozen=True)
@@ -364,78 +359,35 @@ def run(config: ExperimentConfig) -> RunResult:
     ``<output>.json``.  Identical configs produce byte-identical CSVs,
     independent of the worker count.
     """
-    tasks = [
-        _TrialTask(
-            mode=config.mode,
+    keys = [(pi, ti) for pi in range(len(config.points)) for ti in range(config.trials)]
+    trial = partial(_execute_trial, config)
+    if config.workers <= 1:
+        outcomes = [trial(pi, ti) for pi, ti in keys]
+    else:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            chunk = max(1, len(keys) // (config.workers * 4))
+            outcomes = list(pool.map(trial, *zip(*keys), chunksize=chunk))
+
+    point_fields = [_point_fields(config, *point) for point in config.points]
+    records = tuple(
+        TrialRecord(point_index=pi, trial_index=ti, **point_fields[pi], **outcome)
+        for (pi, ti), outcome in zip(keys, outcomes)
+    )
+    success_counts = [0] * len(config.points)
+    for r in records:
+        success_counts[r.point_index] += r.pistar_good
+    summaries = tuple(
+        PointSummary(
+            point_index=pi,
             n=n,
             q=q,
             s=s,
-            alpha=config.alpha,
-            point_index=pi,
-            trial_index=ti,
-            seed=derive_seed(config.base_seed, pi, ti),
-            force_large=config.force_large,
-            limit=config.limit,
+            nqs=n * q * s,
+            trials=config.trials,
+            success_count=success_counts[pi],
         )
         for pi, (n, q, s) in enumerate(config.points)
-        for ti in range(config.trials)
-    ]
-
-    if config.workers <= 1:
-        outcomes = [_execute_trial(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunk = max(1, len(tasks) // (config.workers * 4))
-            outcomes = list(pool.map(_execute_trial, tasks, chunksize=chunk))
-    outcomes.sort(key=lambda o: (o.point_index, o.trial_index))
-
-    reports: dict[int, TheoryReport] = {
-        pi: theory_report(n, q, s, config.alpha, config.beta, config.gamma)
-        for pi, (n, q, s) in enumerate(config.points)
-    }
-    records = []
-    for out in outcomes:
-        n, q, s = config.points[out.point_index]
-        rep = reports[out.point_index]
-        conds = rep.conditions
-        records.append(
-            TrialRecord(
-                n=n,
-                q=q,
-                s=s,
-                alpha=config.alpha,
-                point_index=out.point_index,
-                trial_index=out.trial_index,
-                seed=out.seed,
-                pistar_good=out.pistar_good,
-                found_good=out.found_good,
-                overlap=out.overlap,
-                perms_tested=out.perms_tested,
-                wall_time_ms=out.wall_time_ms,
-                kl=rep.kl,
-                fano_clamped=rep.fano_clamped,
-                cond_mean_degree=conds.cond_mean_degree if conds else None,
-                cond_correlation=conds.cond_correlation if conds else None,
-                cond_sparsity_beta=conds.cond_sparsity_beta if conds else None,
-                cond_sparsity_gamma=conds.cond_sparsity_gamma if conds else None,
-                nqs=rep.nqs,
-            )
-        )
-
-    summaries = []
-    for pi, (n, q, s) in enumerate(config.points):
-        point_records = [r for r in records if r.point_index == pi]
-        summaries.append(
-            PointSummary(
-                point_index=pi,
-                n=n,
-                q=q,
-                s=s,
-                nqs=n * q * s,
-                trials=len(point_records),
-                success_count=sum(1 for r in point_records if r.pistar_good),
-            )
-        )
+    )
 
     csv_path = config.output
     csv_path.parent.mkdir(parents=True, exist_ok=True)
@@ -449,8 +401,8 @@ def run(config: ExperimentConfig) -> RunResult:
     return RunResult(
         csv_path=csv_path,
         sidecar_path=sidecar_path,
-        records=tuple(records),
-        summaries=tuple(summaries),
+        records=records,
+        summaries=summaries,
     )
 
 

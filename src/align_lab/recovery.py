@@ -131,11 +131,11 @@ def is_good(
 # -- vectorized enumeration ----------------------------------------------------
 
 
-def _perm_chunks(n: int, chunk: int = _CHUNK) -> Iterator[np.ndarray]:
-    """Lexicographic image lists in (chunk, n) batches."""
+def _perm_chunks(n: int) -> Iterator[np.ndarray]:
+    """Lexicographic image lists in (_CHUNK, n) batches."""
     it = itertools.permutations(range(n))
     while True:
-        block = list(itertools.islice(it, chunk))
+        block = list(itertools.islice(it, _CHUNK))
         if not block:
             return
         yield np.array(block, dtype=np.int64)
@@ -154,6 +154,30 @@ def _check_exhaustive_size(n: int, force_large: bool) -> None:
         raise CapacityError(
             f"exhaustive enumeration over {n}! permutations needs force_large=True"
         )
+
+
+def _scan(
+    g_a: Graph, g_b: Graph, limit: int | None
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The first ``limit`` (default all n!) image lists in lexicographic order.
+
+    Yields ``(offset, block, matched)`` per batch: ``offset`` is the 0-based
+    position of ``block[0]`` in the scan, and ``matched[c, e]`` says whether
+    A's edge ``e`` (in ``g_a.edges()`` order) lands on an edge of B under
+    ``block[c]``.  Callers check the graph sizes first.
+    """
+    n = g_a.n
+    b_adj = _dense_adjacency(g_b)
+    e = g_a.edges()
+    total = math.factorial(n)
+    budget = total if limit is None else min(limit, total)
+    offset = 0
+    for block in _perm_chunks(n):
+        block = block[: budget - offset]
+        yield offset, block, b_adj[block[:, e[:, 0]], block[:, e[:, 1]]]
+        offset += block.shape[0]
+        if offset >= budget:
+            return
 
 
 def find_good(
@@ -178,60 +202,33 @@ def find_good(
 
     threshold = params.nqs / 2.0
     required = n * (1.0 + alpha) / 2.0
-    b_adj = _dense_adjacency(g_b)
+    # Edge-node incidence of A: matched @ incidence is the (c, n) degree matrix.
+    # float32 sends the product to BLAS and holds degrees < 2**24 exactly.
     e = g_a.edges()
-    total = math.factorial(n)
-    budget = total if limit is None else min(limit, total)
+    incidence = np.zeros((e.shape[0], n), dtype=np.float32)
+    rows = np.arange(e.shape[0])
+    incidence[rows, e[:, 0]] = 1.0
+    incidence[rows, e[:, 1]] = 1.0
 
-    seen = 0
-    for block in _perm_chunks(n):
-        if seen >= budget:
-            break
-        if seen + block.shape[0] > budget:
-            block = block[: budget - seen]
-        counts = _good_counts(block, e, b_adj, threshold)
-        hits = np.nonzero(counts >= required)[0]
+    tested = 0
+    for offset, block, matched in _scan(g_a, g_b, limit):
+        degrees = matched.astype(np.float32) @ incidence
+        hits = np.flatnonzero(np.count_nonzero(degrees >= threshold, axis=1) >= required)
         if hits.size:
             first = int(hits[0])
-            return SearchResult(Permutation(block[first]), seen + first + 1)
-        seen += block.shape[0]
-    return SearchResult(None, seen)
-
-
-def _good_counts(
-    block: np.ndarray, edges_a: np.ndarray, b_adj: np.ndarray, threshold: float
-) -> np.ndarray:
-    """Per-permutation count of nodes whose intersection degree meets threshold."""
-    c, n = block.shape
-    if edges_a.shape[0] == 0:
-        return np.zeros(c, dtype=np.int64) if threshold > 0 else np.full(c, n, dtype=np.int64)
-    pu = block[:, edges_a[:, 0]]
-    pv = block[:, edges_a[:, 1]]
-    matched = b_adj[pu, pv]
-    deg = np.zeros((c, n), dtype=np.int32)
-    rows = np.arange(c)
-    for col in range(edges_a.shape[0]):
-        hit = matched[:, col]
-        deg[rows, edges_a[col, 0]] += hit
-        deg[rows, edges_a[col, 1]] += hit
-    return (deg >= threshold).sum(axis=1)
+            return SearchResult(Permutation(block[first]), offset + first + 1)
+        tested = offset + block.shape[0]
+    return SearchResult(None, tested)
 
 
 def map_estimate(g_a: Graph, g_b: Graph, force_large: bool = False) -> Permutation:
     """Exhaustive maximizer of the edge overlap; ties go to the
     lexicographically smallest image list."""
-    n = _check_same_size(g_a, g_b)
-    _check_exhaustive_size(n, force_large)
-    b_adj = _dense_adjacency(g_b)
-    e = g_a.edges()
-
+    _check_exhaustive_size(_check_same_size(g_a, g_b), force_large)
     best_obj = -1
     best: np.ndarray | None = None
-    for block in _perm_chunks(n):
-        if e.shape[0] == 0:
-            obj = np.zeros(block.shape[0], dtype=np.int64)
-        else:
-            obj = b_adj[block[:, e[:, 0]], block[:, e[:, 1]]].sum(axis=1)
+    for _, block, matched in _scan(g_a, g_b, None):
+        obj = matched.sum(axis=1)
         top = int(obj.argmax())
         if obj[top] > best_obj:
             best_obj = int(obj[top])

@@ -304,8 +304,9 @@ def mgf_zk(k_pairs: int, t: float, params: ModelParams) -> float:
         x = math.expm1(t)
     except OverflowError:
         x = math.inf
-    trace = p11 * x + 1.0
-    det = sigma2 * x
+    # A zero coefficient drops its term exactly, also where e^t - 1 overflows.
+    trace = p11 * x + 1.0 if p11 else 1.0
+    det = sigma2 * x if sigma2 else 0.0
     disc = trace * trace - 4.0 * det
     if disc <= 0.0:
         raise AlignLabError(f"discriminant must be positive, got {disc}")

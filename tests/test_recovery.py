@@ -243,6 +243,67 @@ def test_map_size_guard():
         map_estimate(g, g)
 
 
+# -- exhaustive scans across block boundaries ------------------------------------
+# The scans evaluate 2048 candidates per block; at n = 7 the 5040 candidates span
+# three blocks, so these oracles reach the block offset and the limit cut.
+
+_IMAGES_7 = list(itertools.permutations(range(7)))
+_ER_7 = ModelParams(7, 0.4, 0.9)
+
+
+def _rigid_pair_with_hit_at_2049():
+    # B is the rigid graph relabeled by the first candidate of the second block;
+    # with threshold 2 and 5 nodes required, the first good candidate is that one
+    g = _rigid_graph()
+    return g, g.relabeled(np.array(_IMAGES_7[2048])), ModelParams(7, 4 / 7, 1.0), 0.42
+
+
+def _generated(seed, alpha):
+    inst = generate(_ER_7, seed=seed)
+    return inst.g_a, inst.g_b, _ER_7, alpha
+
+
+# name -> (g_a, g_b, params, alpha), 1-based position of the first good candidate
+_SEARCH_CASES_7 = {
+    "hit-at-2049": (_rigid_pair_with_hit_at_2049, 2049),
+    "hit-at-2926": (lambda: _generated(10, 0.4), 2926),
+    "hit-at-3": (lambda: _generated(2, 0.6), 3),
+    "no-hit": (lambda: _generated(0, 0.6), None),
+    "empty-graphs": (lambda: (Graph.empty(7), Graph.empty(7), _ER_7, 0.6), None),
+    "empty-a": (lambda: (Graph.empty(7), _rigid_graph(), _ER_7, 0.6), None),
+    "empty-graphs-q0": (lambda: (Graph.empty(7), Graph.empty(7), ModelParams(7, 0.0, 0.5), 0.6), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_SEARCH_CASES_7))
+def test_find_good_matches_naive_scan_across_blocks(name):
+    build, expected_hit = _SEARCH_CASES_7[name]
+    g_a, g_b, params, alpha = build()
+    good = [is_good(g_a, g_b, Permutation(list(im)), params, alpha).is_good for im in _IMAGES_7]
+    first = next((i for i, flag in enumerate(good) if flag), None)
+    assert (None if first is None else first + 1) == expected_hit
+    for limit in (None, 2048, 2049, 4097):
+        budget = len(good) if limit is None else min(limit, len(good))
+        res = find_good(g_a, g_b, params, alpha, limit=limit)
+        if first is None or first >= budget:
+            assert res.permutation is None
+            assert res.tested == budget
+        else:
+            assert res.permutation == Permutation(list(_IMAGES_7[first]))
+            assert res.tested == first + 1
+
+
+@pytest.mark.parametrize("seed", [0, 3, 10])
+def test_map_matches_naive_lexicographic_argmax(seed):
+    inst = generate(_ER_7, seed=seed)
+    objectives = [
+        overlap_objective(inst.g_a, inst.g_b, Permutation(list(im))) for im in _IMAGES_7
+    ]
+    # max returns the first maximal element, i.e. the lexicographically first one
+    best = max(range(len(objectives)), key=objectives.__getitem__)
+    assert map_estimate(inst.g_a, inst.g_b) == Permutation(list(_IMAGES_7[best]))
+
+
 # -- k-core --------------------------------------------------------------------
 
 

@@ -302,6 +302,9 @@ def _mgf_enumeration(k: int, t: float, q: float, s: float) -> float:
 
 def test_mgf_at_zero_is_one():
     assert mgf_zk(3, 0.0, ModelParams(10, 0.2, 0.6)) == pytest.approx(1.0, abs=1e-14)
+    # at q = 0 the mgf is 1 for every t, also where e^t - 1 overflows a double
+    for t in (700.0, 710.0, 1e6):
+        assert mgf_zk(2, t, ModelParams(2, 0.0, 0.3)) == 1.0
 
 
 def test_mgf_binomial_at_independence():
