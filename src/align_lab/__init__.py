@@ -80,66 +80,3 @@ from .harness import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlignLabError",
-    "CapacityError",
-    "ConfigError",
-    "NoRootError",
-    "ParameterError",
-    "CorrelatedInstance",
-    "Graph",
-    "ModelParams",
-    "PairDistribution",
-    "dist_p",
-    "dist_q",
-    "generate",
-    "kl_divergence",
-    "make_rng",
-    "CycleDecomposition",
-    "MAlphaResult",
-    "PairCycle",
-    "Permutation",
-    "decompose",
-    "derangements",
-    "log_rencontres",
-    "m_alpha",
-    "overlap",
-    "rencontres",
-    "GoodnessReport",
-    "KCoreResult",
-    "SearchResult",
-    "find_good",
-    "intersection_degrees",
-    "intersection_graph",
-    "is_good",
-    "k_core",
-    "map_estimate",
-    "overlap_objective",
-    "CkResult",
-    "FanoBound",
-    "GoodProbBound",
-    "RecoveryConditions",
-    "TheoryReport",
-    "ZetaResult",
-    "berry_esseen_lower",
-    "c_k",
-    "chernoff_zeta",
-    "fano_bound",
-    "good_prob_bound",
-    "impossibility_ratio",
-    "mgf_zk",
-    "mu_k",
-    "power_mean_check",
-    "psi",
-    "recovery_conditions",
-    "theory_report",
-    "CSV_COLUMNS",
-    "ExperimentConfig",
-    "PointSummary",
-    "RunResult",
-    "TrialRecord",
-    "derive_seed",
-    "parse_config",
-    "run",
-]

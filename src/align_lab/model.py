@@ -21,6 +21,11 @@ A draw consumes random variates in a fixed, documented order: parent edge
 slots (geometric skipping), retention coins for copy A, retention coins for
 copy B', then the permutation.  Identical ``(params, seed)`` therefore gives
 a bit-identical instance.
+
+The parent is never held as an edge list: its row-major slots map to the
+sorted edge keys ``u*n + v`` that ``Graph`` stores, the retention coins
+select the keys of A and of B' from them, and B is B' relabeled through the
+permutation.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .errors import CapacityError, ParameterError
 from .perms import Permutation
 
 # Refuse to materialize parent graphs whose expected edge count exceeds this.
-DEFAULT_MAX_EDGES = 200_000_000
+MAX_PARENT_EDGES = 200_000_000
 
 _GEOM_BATCH_MIN = 1024
 
@@ -249,11 +254,19 @@ class Graph:
         return self.num_edges / math.comb(self.n, 2) if self.n >= 2 else 0.0
 
     def relabeled(self, image: np.ndarray) -> "Graph":
-        """New graph with every edge (u, v) mapped to (image[u], image[v])."""
+        """New graph with every edge (u, v) mapped to (image[u], image[v]).
+
+        ``image`` must be a bijection on the n nodes.  This is the one place
+        that maps edge keys through a permutation.
+        """
         image = np.asarray(image, dtype=np.int64)
-        if image.shape != (self.n,):
-            raise ParameterError("relabeling must provide one image per node")
-        return Graph.from_edges(self.n, image[self.edges()])
+        if image.shape != (self.n,) or not np.array_equal(np.sort(image), np.arange(self.n)):
+            raise ParameterError(f"relabeling must be a bijection on the {self.n} nodes")
+        u, v = np.divmod(self._keys, self.n)
+        u, v = image[u], image[v]
+        keys = np.minimum(u, v) * self.n + np.maximum(u, v)
+        keys.sort()
+        return Graph(self.n, keys)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -293,16 +306,17 @@ def _er_edge_slots(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     return slots[slots < total]
 
 
-def _slots_to_edges(slots: np.ndarray, n: int) -> np.ndarray:
-    """Invert row-major upper-triangle slot indices to (i, j) pairs, i < j."""
-    # row_start(i) = i*n - i(i+1)/2.  The table takes 8n bytes, less than the
-    # 32m bytes of the row, column and (m, 2) arrays built here whenever the
-    # parent's mean degree 2m/n exceeds 1/2.
+def _slots_to_keys(slots: np.ndarray, n: int) -> np.ndarray:
+    """Map row-major upper-triangle slot indices to edge keys i*n + j, i < j.
+
+    Row i starts at slot i*n - i(i+1)/2, so slot t of row i has key
+    t + (i+1)(i+2)/2: sorted unique slots give sorted unique keys.
+    """
     rows = np.arange(n, dtype=np.int64)
-    row_start = rows * n - rows * (rows + 1) // 2
-    i = np.searchsorted(row_start, slots, side="right") - 1
-    j = slots - row_start[i] + i + 1
-    return np.column_stack([i, j])
+    tri = rows * (rows + 1) // 2
+    row_start = rows * n - tri
+    # searchsorted(side="right") is the row index plus one
+    return slots + tri[np.searchsorted(row_start, slots, side="right")]
 
 
 @dataclass(frozen=True)
@@ -320,9 +334,7 @@ class CorrelatedInstance:
             raise ParameterError("instance components disagree on the node count")
 
 
-def generate(
-    params: ModelParams, seed: int, *, max_edges: int = DEFAULT_MAX_EDGES
-) -> CorrelatedInstance:
+def generate(params: ModelParams, seed: int) -> CorrelatedInstance:
     """Draw a correlated instance; a pure function of (params, seed).
 
     Requires q > 0 (an empty-graph simulation is useless; the boundary cases
@@ -332,17 +344,15 @@ def generate(
         raise ParameterError("generate requires q > 0")
     n = params.n
     expected = math.comb(n, 2) * params.parent_p
-    if expected > max_edges:
+    if expected > MAX_PARENT_EDGES:
         raise CapacityError(
-            f"expected parent edge count {expected:.3g} exceeds the budget {max_edges}"
+            f"expected parent edge count {expected:.3g} exceeds the budget {MAX_PARENT_EDGES}"
         )
     rng = make_rng(seed)
-    slots = _er_edge_slots(n, params.parent_p, rng)
-    parent = _slots_to_edges(slots, n)
-    m = parent.shape[0]
-    keep_a = rng.random(m) < params.s
-    keep_b = rng.random(m) < params.s
+    keys = _slots_to_keys(_er_edge_slots(n, params.parent_p, rng), n)
+    keep_a = rng.random(keys.size) < params.s
+    keep_b = rng.random(keys.size) < params.s
     pi_star = Permutation(rng.permutation(n))
-    g_a = Graph.from_edges(n, parent[keep_a])
-    g_b = Graph.from_edges(n, pi_star.as_array()[parent[keep_b]])
+    g_a = Graph(n, keys[keep_a])
+    g_b = Graph(n, keys[keep_b]).relabeled(pi_star.as_array())
     return CorrelatedInstance(g_a=g_a, g_b=g_b, pi_star=pi_star, params=params, seed=seed)

@@ -16,6 +16,14 @@ The decomposition splits the ordered pairs S = {(i, j) : i != j} into
 Each orbit is classified: G1 if it contains the mirror of its members, G3 if
 all second coordinates agree (the second coordinate is a fixed point of p),
 G2 otherwise (mirrored pairs then sit in a twin orbit of the same size).
+
+All of it follows from the cycle type of p.  Take i on a cycle x of length
+a >= 2 and j on a cycle y of length b, both listed in walk order.  These
+pairs (i, j) fall into gcd(a, b) orbits of size lcm(a, b), one for each
+offset d < gcd(a, b): (x[t mod a], y[(t+d) mod b]) for t < lcm(a, b).  The
+orbit is G3 when b = 1.  When y is x, d = 0 is the diagonal and is skipped,
+d = a/2 is the only self-mirrored orbit (S2^1 when a = 2, G1 otherwise), and
+the others are G2.  Pairs whose first coordinate is fixed are S1.
 """
 
 from __future__ import annotations
@@ -32,8 +40,10 @@ from .errors import CapacityError, ParameterError
 # log-domain values are produced (the Fano bound needs only log ratios).
 EXACT_COUNT_LIMIT = 170
 
-# decompose materializes all n*(n-1) ordered pairs.
-_DECOMPOSE_PAIR_LIMIT = 100_000_000
+# decompose materializes all n*(n-1) ordered pairs, about 73 bytes each
+# (peak RSS growth at n = 3000 on CPython 3.11, 64-bit), so the largest
+# allowed call (n = 4472) needs about 1.5 GB.
+_DECOMPOSE_PAIR_LIMIT = 20_000_000
 
 
 class Permutation:
@@ -203,6 +213,8 @@ def m_alpha(n: int, alpha: float) -> MAlphaResult:
 GROUP_MIRROR_IN_CYCLE = "G1"
 GROUP_MIRROR_IN_TWIN = "G2"
 GROUP_FIXED_SECOND = "G3"
+# census slot order: (l_k, m_k, n_k)
+_GROUPS = (GROUP_MIRROR_IN_CYCLE, GROUP_MIRROR_IN_TWIN, GROUP_FIXED_SECOND)
 
 
 @dataclass(frozen=True)
@@ -235,67 +247,63 @@ class CycleDecomposition:
         return sum(c.size for c in self.cycles)
 
 
+def _cycles(p: list[int]) -> list[list[int]]:
+    """The cycles of p, each listed in walk order i, p(i), p(p(i)), ..."""
+    seen = [False] * len(p)
+    cycles = []
+    for start in range(len(p)):
+        cycle = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cycle.append(i)
+            i = p[i]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
 def decompose(pi: Permutation, pi_star: Permutation) -> CycleDecomposition:
     """Decompose the ordered pairs under p = pi o pi_star^{-1}.
 
-    Cost and memory are Theta(n^2); intended for analysis at modest n.
+    The orbits are built from the cycles of p (see the module docstring),
+    each with its pairs in p-order.  The output holds all n(n-1) pairs, so
+    cost and memory are Theta(n^2); intended for analysis at modest n.
     """
     if len(pi) != len(pi_star):
         raise ParameterError("decompose needs permutations of equal length")
     n = len(pi)
     if n * (n - 1) > _DECOMPOSE_PAIR_LIMIT:
         raise CapacityError(f"decompose materializes n*(n-1) pairs; n={n} is too large")
-    p = pi.compose(pi_star.inverse()).as_array()
-    fixed = p == np.arange(n)
-    eps = float(np.count_nonzero(fixed)) / n
+    cycles = _cycles(pi.compose(pi_star.inverse()).as_array().tolist())
+    fixed = [x[0] for x in cycles if len(x) == 1]
 
-    s1: list[tuple[int, int]] = []
+    s1 = tuple((i, j) for i in fixed for j in range(n) if j != i)
     s21: list[tuple[int, int]] = []
-    s22: list[tuple[int, int]] = []
-    for i in range(n):
-        if fixed[i]:
-            s1.extend((i, j) for j in range(n) if j != i)
-            continue
-        pi_i = int(p[i])
-        for j in range(n):
-            if j == i:
-                continue
-            if pi_i == j and p[j] == i:
-                s21.append((i, j))
-            else:
-                s22.append((i, j))
-
-    visited: set[tuple[int, int]] = set()
-    cycles: list[PairCycle] = []
+    orbits: list[PairCycle] = []
     census: dict[int, list[int]] = {}
-    for start in s22:
-        if start in visited:
+    for x in cycles:
+        a = len(x)
+        if a == 1:
             continue
-        orbit = [start]
-        cur = (int(p[start[0]]), int(p[start[1]]))
-        while cur != start:
-            orbit.append(cur)
-            cur = (int(p[cur[0]]), int(p[cur[1]]))
-        visited.update(orbit)
-        members = set(orbit)
-        if (start[1], start[0]) in members:
-            group = GROUP_MIRROR_IN_CYCLE
-        elif all(j == start[1] for _, j in orbit):
-            group = GROUP_FIXED_SECOND
-        else:
-            group = GROUP_MIRROR_IN_TWIN
-        cycles.append(PairCycle(group, tuple(orbit)))
-        counts = census.setdefault(len(orbit), [0, 0, 0])
-        counts[
-            {GROUP_MIRROR_IN_CYCLE: 0, GROUP_MIRROR_IN_TWIN: 1, GROUP_FIXED_SECOND: 2}[group]
-        ] += 1
+        for y in cycles:
+            b = len(y)
+            size = math.lcm(a, b)
+            for d in range(1 if y is x else 0, math.gcd(a, b)):
+                pairs = tuple(zip(x * (size // a), (y[d:] + y[:d]) * (size // b)))
+                if y is x and a == 2:
+                    s21.extend(pairs)
+                    continue
+                slot = 2 if b == 1 else 0 if y is x and 2 * d == a else 1
+                orbits.append(PairCycle(_GROUPS[slot], pairs))
+                census.setdefault(size, [0, 0, 0])[slot] += 1
 
     return CycleDecomposition(
         n=n,
-        eps=eps,
-        s1=tuple(s1),
+        eps=len(fixed) / n,
+        s1=s1,
         s21=tuple(s21),
-        cycles=tuple(cycles),
+        cycles=tuple(orbits),
         census={k: tuple(v) for k, v in sorted(census.items())},
     )
 
@@ -303,12 +311,8 @@ def decompose(pi: Permutation, pi_star: Permutation) -> CycleDecomposition:
 def census_rows(dec: CycleDecomposition) -> list[dict[str, int | str]]:
     """Flatten the census to [{group, k, count}] rows for serialization."""
     rows: list[dict[str, int | str]] = []
-    for k, (l_k, m_k, n_k) in dec.census.items():
-        for group, count in (
-            (GROUP_MIRROR_IN_CYCLE, l_k),
-            (GROUP_MIRROR_IN_TWIN, m_k),
-            (GROUP_FIXED_SECOND, n_k),
-        ):
+    for k, counts in dec.census.items():
+        for group, count in zip(_GROUPS, counts):
             if count:
                 rows.append({"group": group, "k": k, "count": count})
     return rows

@@ -8,14 +8,14 @@ parameters) when at least n*(1+alpha)/2 nodes of that intersection graph
 have degree >= n*q*s/2.  Both thresholds are kept as exact reals and
 compared against integer degrees without rounding.
 
-Every intersection query maps A's edge keys through the permutation into
-B's labels, sorts them, and probes B's sorted edge keys with ``searchsorted``
-(sorted needles walk the haystack in order, which keeps the probe cache
-friendly): O(m_A log m_A) per permutation, without materializing the
-intersection graph.  The exhaustive routines enumerate image lists in
-lexicographic order and evaluate them in vectorized batches; results are
-reported as if the scan were strictly sequential, so the returned
-permutation is always the lexicographically first hit.
+Every intersection query relabels A through the permutation into B's labels
+(``Graph.relabeled``, which sorts the mapped keys) and probes B's sorted edge
+keys with ``searchsorted`` (sorted needles walk the haystack in order, which
+keeps the probe cache friendly): O(m_A log m_A) per permutation.  The
+exhaustive routines enumerate image lists in lexicographic order and
+evaluate them in vectorized batches; results are reported as if the scan
+were strictly sequential, so the returned permutation is always the
+lexicographically first hit.
 """
 
 from __future__ import annotations
@@ -73,14 +73,8 @@ def _check_same_size(g_a: Graph, g_b: Graph) -> int:
 
 def _matched_keys(g_a: Graph, g_b: Graph, pi: Permutation) -> np.ndarray:
     """Sorted keys, in B's labels, of the A edges {u, v} with {pi(u), pi(v)} in B."""
-    n = _check_same_size(g_a, g_b)
-    if len(pi) != n:
-        raise ParameterError("permutation length does not match the graphs")
-    image = pi.as_array()
-    u, v = np.divmod(g_a.edge_keys(), n)
-    u, v = image[u], image[v]
-    keys = np.minimum(u, v) * n + np.maximum(u, v)
-    keys.sort()
+    _check_same_size(g_a, g_b)
+    keys = g_a.relabeled(pi.as_array()).edge_keys()
     b_keys = g_b.edge_keys()
     if b_keys.size == 0:
         return keys[:0]
@@ -98,10 +92,7 @@ def intersection_degrees(g_a: Graph, g_b: Graph, pi: Permutation) -> np.ndarray:
 
 def intersection_graph(g_a: Graph, g_b: Graph, pi: Permutation) -> Graph:
     """Graph with edge {i, j} iff A has {i, j} and B has {pi(i), pi(j)}."""
-    n = g_a.n
-    u, v = np.divmod(_matched_keys(g_a, g_b, pi), n)
-    inverse = pi.inverse().as_array()
-    return Graph.from_edges(n, np.column_stack([inverse[u], inverse[v]]))
+    return Graph(g_a.n, _matched_keys(g_a, g_b, pi)).relabeled(pi.inverse().as_array())
 
 
 def is_good(

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
 import pytest
 
-from align_lab import Permutation
+from align_lab import Permutation, make_rng
 from align_lab.cli import main
+from align_lab.perms import _DECOMPOSE_PAIR_LIMIT
 from align_lab.storage import read_instance, write_permutation
 
 
@@ -235,6 +237,34 @@ def test_capacity_exit_code(capsys):
     assert "capacity error" in capsys.readouterr().err
 
 
+def test_decompose_capacity_exit_code(tmp_path, capsys):
+    # identity pair at the smallest n whose n(n-1) pairs exceed the limit
+    n = math.isqrt(_DECOMPOSE_PAIR_LIMIT) + 1
+    n += n * (n - 1) <= _DECOMPOSE_PAIR_LIMIT
+    assert n * (n - 1) > _DECOMPOSE_PAIR_LIMIT >= (n - 1) * (n - 2)
+    pi_path = tmp_path / "id.perm"
+    write_permutation(Permutation.identity(n), pi_path)
+    rc = main(["decompose", "--pi", str(pi_path), "--pistar", str(pi_path)])
+    assert rc == 3
+    assert "capacity error" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     rc = main(["kcore", "--graph", str(tmp_path / "none.edges"), "--k", "2"])
     assert rc == 2
+
+
+# SHA-256 of the `decompose` stdout for the pair below, recorded with the
+# pair-by-pair orbit walk.  Seed 2043 gives p two fixed points, a 2-cycle and
+# orbits of all three groups.
+DECOMPOSE_N200_SHA256 = "10f03c925727b045b0c9fa0204fe1daf5749364c5d027ce57dcd03c61fca4327"
+
+
+def test_decompose_json_is_pinned(tmp_path, capsys):
+    rng = make_rng(2043)
+    pi_path, pistar_path = tmp_path / "pi.perm", tmp_path / "pistar.perm"
+    write_permutation(Permutation.random(200, rng), pi_path)
+    write_permutation(Permutation.random(200, rng), pistar_path)
+    assert main(["decompose", "--pi", str(pi_path), "--pistar", str(pistar_path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_N200_SHA256

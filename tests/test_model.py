@@ -5,9 +5,12 @@ distributional and determinism guarantees."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from align_lab import (
     CapacityError,
@@ -18,10 +21,12 @@ from align_lab import (
     dist_p,
     dist_q,
     generate,
+    intersection_graph,
+    is_good,
     kl_divergence,
     make_rng,
 )
-from align_lab.model import _slots_to_edges
+from align_lab.model import _er_edge_slots, _slots_to_keys
 
 # Frozen with a 50-digit mpmath summation of the four cells at q=0.2, s=0.6.
 KL_02_06 = 0.1057337114231780007286040478161704613149249584877
@@ -170,8 +175,33 @@ def test_relabeled_preserves_structure():
     assert sorted(h.degrees().tolist()) == sorted(g.degrees().tolist())
 
 
+@st.composite
+def _graph_and_image(draw):
+    n = draw(st.integers(2, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, unique_by=lambda e: frozenset(e), max_size=n * (n - 1) // 2))
+    graph = Graph.from_edges(n, edges) if edges else Graph.empty(n)
+    return graph, np.array(draw(st.permutations(range(n))), dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_and_image())
+def test_relabeled_matches_from_edges_and_round_trips(case):
+    g, image = case
+    h = g.relabeled(image)
+    assert h == Graph.from_edges(g.n, image[g.edges()])
+    assert h.relabeled(np.argsort(image)) == g
+
+
+@pytest.mark.parametrize("image", [[0, 0, 2], [0, 1, 3], [0, 1]])
+def test_relabeled_rejects_non_bijection(image):
+    # [0, 0, 2] maps the only edge {0, 2} to itself: no collision, but 1 has no preimage
+    with pytest.raises(ParameterError):
+        Graph.from_edges(3, [(0, 2)]).relabeled(np.array(image))
+
+
 @pytest.mark.parametrize("n", [3, 1000, 10**6 + 3])
-def test_slots_to_edges_at_row_boundaries(n):
+def test_slots_to_keys_at_row_boundaries(n):
     # first and last slot of rows 0, 1, n-3 and n-2 against the closed form
     def row_start(i: int) -> int:
         return i * n - i * (i + 1) // 2
@@ -179,8 +209,8 @@ def test_slots_to_edges_at_row_boundaries(n):
     rows = (0, 1, n - 3, n - 2)
     slots = [t for i in rows for t in (row_start(i), row_start(i + 1) - 1)]
     expected = [pair for i in rows for pair in ([i, i + 1], [i, n - 1])]
-    got = _slots_to_edges(np.array(slots, dtype=np.int64), n)
-    assert got.tolist() == expected
+    keys = _slots_to_keys(np.array(slots, dtype=np.int64), n)
+    assert np.column_stack(np.divmod(keys, n)).tolist() == expected
 
 
 # -- generator ----------------------------------------------------------------
@@ -202,7 +232,7 @@ def test_generate_requires_positive_q():
 
 def test_generate_capacity_guard():
     with pytest.raises(CapacityError):
-        generate(ModelParams(100_000, 0.4, 0.5), seed=1, max_edges=1_000_000)
+        generate(ModelParams(100_000, 0.4, 0.5), seed=1)
 
 
 def test_generate_s1_gives_isomorphic_pair():
@@ -253,3 +283,28 @@ def test_generate_matched_pair_moments():
     rho = (params.s - params.q) / (1 - params.q)
     assert rho == pytest.approx(0.45 / 0.95)
     assert abs(rho_hat - rho) < 0.02
+
+
+@pytest.mark.parametrize(
+    "n,q,s,seed",
+    [(500, 0.04, 0.5, 3), (2000, 0.05, 0.7, 21), (20000, 0.013, 0.5, 2)],  # last: nqs = 130
+)
+def test_intersection_under_pistar_is_parent_kept_in_both(n, q, s, seed):
+    params = ModelParams(n, q, s)
+    inst = generate(params, seed)
+    # re-draw in the documented order: parent slots, keep-A coins, keep-B coins, pi*
+    rng = make_rng(seed)
+    parent = _slots_to_keys(_er_edge_slots(n, params.parent_p, rng), n)
+    keep_a = rng.random(parent.size) < s
+    keep_b = rng.random(parent.size) < s
+    assert np.array_equal(rng.permutation(n), inst.pi_star.as_array())
+    both = parent[keep_a & keep_b]
+    assert np.array_equal(intersection_graph(inst.g_a, inst.g_b, inst.pi_star).edge_keys(), both)
+
+    u, v = np.divmod(both, n)
+    deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    count = int(np.count_nonzero(deg >= params.nqs / 2))
+    report = is_good(inst.g_a, inst.g_b, inst.pi_star, params, 0.5)
+    assert report.count_high_degree == count
+    assert report.is_good == (count >= n * 1.5 / 2)
+    assert report.degree_histogram == dict(Counter(deg.tolist()))

@@ -7,6 +7,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from align_lab import (
     Permutation,
@@ -251,3 +253,67 @@ def test_decompose_invariants_random():
 def test_decompose_length_mismatch():
     with pytest.raises(ParameterError):
         decompose(Permutation.identity(3), Permutation.identity(4))
+
+
+def _walk_decomposition(pi, pi_star):
+    """Reference: split the pairs one by one and walk each S2^2 orbit."""
+    n = len(pi)
+    p = pi.compose(pi_star.inverse())
+    s1, s21, s22 = set(), set(), []
+    for i in range(n):
+        for j in range(n):
+            if j == i:
+                continue
+            if p(i) == i:
+                s1.add((i, j))
+            elif p(i) == j and p(j) == i:
+                s21.add((i, j))
+            else:
+                s22.append((i, j))
+    visited, orbits, census = set(), set(), {}
+    for start in s22:
+        if start in visited:
+            continue
+        orbit = [start]
+        cur = (p(start[0]), p(start[1]))
+        while cur != start:
+            orbit.append(cur)
+            cur = (p(cur[0]), p(cur[1]))
+        visited.update(orbit)
+        if (start[1], start[0]) in orbit:
+            slot = 0
+        elif all(j == start[1] for _, j in orbit):
+            slot = 2
+        else:
+            slot = 1
+        orbits.add((("G1", "G2", "G3")[slot], frozenset(orbit)))
+        census.setdefault(len(orbit), [0, 0, 0])[slot] += 1
+    eps = p.fixed_point_count() / n
+    return s1, s21, orbits, {k: tuple(v) for k, v in census.items()}, eps
+
+
+@st.composite
+def _permutation_pair(draw):
+    n = draw(st.integers(1, 14))
+    return (
+        Permutation(draw(st.permutations(range(n)))),
+        Permutation(draw(st.permutations(range(n)))),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_permutation_pair())
+def test_decompose_matches_pair_walk(pair):
+    pi, pi_star = pair
+    dec = decompose(pi, pi_star)
+    s1, s21, orbits, census, eps = _walk_decomposition(pi, pi_star)
+    assert set(dec.s1) == s1 and len(dec.s1) == len(s1)
+    assert set(dec.s21) == s21 and len(dec.s21) == len(s21)
+    assert {(c.group, frozenset(c.pairs)) for c in dec.cycles} == orbits
+    assert len(dec.cycles) == len(orbits)
+    assert dec.census == census and list(dec.census) == sorted(census)
+    assert dec.eps == eps
+    p = pi.compose(pi_star.inverse())
+    for c in dec.cycles:  # each orbit lists its pairs in p-order
+        for (i, j), nxt in zip(c.pairs, c.pairs[1:] + c.pairs[:1]):
+            assert nxt == (p(i), p(j))
