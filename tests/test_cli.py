@@ -8,10 +8,10 @@ import math
 
 import pytest
 
-from align_lab import Permutation, make_rng
+from align_lab import ModelParams, Permutation, generate, make_rng
 from align_lab.cli import main
 from align_lab.perms import _DECOMPOSE_PAIR_LIMIT
-from align_lab.storage import read_instance, write_permutation
+from align_lab.storage import read_instance, write_instance, write_permutation
 
 
 def _json_out(capsys) -> dict:
@@ -268,3 +268,126 @@ def test_decompose_json_is_pinned(tmp_path, capsys):
     assert main(["decompose", "--pi", str(pi_path), "--pistar", str(pistar_path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_N200_SHA256
+
+
+# Golden guard of the whole CLI surface: for each invocation the SHA-256 of
+# stdout and of stderr and the exit code.  Inputs live in the working
+# directory under relative names, so no temporary path reaches the output.
+def _golden_inputs(tmp) -> None:
+    write_instance(generate(ModelParams(7, 0.4, 0.9), 5), tmp / "inst")
+    (tmp / "g.edges").write_text("4 4\n0 1\n0 2\n1 2\n2 3\n")
+    write_permutation(Permutation([2, 0, 1, 4, 3]), tmp / "pi.perm")
+    write_permutation(Permutation([0, 1, 2, 3, 4]), tmp / "pistar.perm")
+    (tmp / "exp.cfg").write_text(
+        "mode = sweep\nn = 60\ns = 0.5\nnqs = 1.0, 4.0\nalpha = 0.4\n"
+        "beta = 0.4\ngamma = 0.3\ntrials = 2\nbase_seed = 3\noutput = out/run.csv\n"
+    )
+
+
+GOLDEN = {
+    "help": ["--help"],
+    "help-search": ["search", "--help"],
+    "help-mgf": ["mgf", "--help"],
+    "run": ["run", "--config", "exp.cfg"],
+    "gen": ["gen", "--n", "9", "--q", "0.3", "--s", "0.8", "--seed", "4", "--out", "new"],
+    "check-good": ["check-good", "--instance", "inst", "--pi", "inst/pistar.perm",
+                   "--alpha", "0.4"],
+    "search": ["search", "--instance", "inst", "--alpha", "0.3"],
+    "search-limit": ["search", "--instance", "inst", "--alpha", "0.9", "--limit", "50"],
+    "map": ["map", "--instance", "inst"],
+    "kcore": ["kcore", "--graph", "g.edges", "--k", "2"],
+    "decompose": ["decompose", "--pi", "pi.perm", "--pistar", "pistar.perm"],
+    "theory": ["theory", "--n", "200", "--q", "0.05", "--s", "0.5", "--alpha", "0.4",
+               "--beta", "0.4", "--gamma", "0.3"],
+    "theory-no-conditions": ["theory", "--n", "60", "--q", "0.2", "--s", "0.5",
+                             "--alpha", "0.4"],
+    "fano": ["fano", "--n", "5", "--q", "0.2", "--s", "0.6", "--alpha", "0.6"],
+    "psi": ["psi", "--j", "2", "--mu", "1.0"],
+    "ck": ["ck", "--k", "3"],
+    "muk": ["muk", "--k", "3", "--lam", "4.0"],
+    "mgf": ["mgf", "--k-pairs", "2", "--t", "0.5", "--q", "0.2", "--s", "0.6"],
+    "mgf-n": ["mgf", "--k-pairs", "3", "--t", "0.5", "--n", "40", "--q", "0.2", "--s", "0.6"],
+    "zeta": ["zeta", "--tau", "0.25", "--q1", "0.039", "--q2", "0.0065"],
+    "error-q-above-s": ["gen", "--n", "7", "--q", "0.8", "--s", "0.5", "--seed", "1",
+                        "--out", "x"],
+    "error-missing-file": ["kcore", "--graph", "none.edges", "--k", "2"],
+    "error-unknown-flag": ["psi", "--j", "2", "--mu", "1.0", "--nu", "3"],
+    "error-no-command": [],
+    "error-mgf-overflow": ["mgf", "--k-pairs", "2", "--t", "1e6", "--q", "0.2", "--s", "0.6"],
+    "error-capacity": ["gen", "--n", "1000000", "--q", "0.5", "--s", "0.5", "--seed", "1",
+                       "--out", "x"],
+}
+
+# name -> (stdout SHA-256, stderr SHA-256, exit code), recorded before the
+# subcommands moved into one command table
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+GOLDEN_DIGESTS = {
+    "help":
+        ("ac8469c70beba5aba1273649a4e1032232bfb147c1adda3da1b1df6e0e774f04", _EMPTY, 0),
+    "help-search":
+        ("29a80f189b126ffed3951896b2068d1dfa2824f0011148fd0f4fa9508439baac", _EMPTY, 0),
+    "help-mgf":
+        ("9c5cc8b8672f07bdfbcc3c74140a2c50e052736019a8f1c9d6343b1c61da8df1", _EMPTY, 0),
+    "run":
+        ("56d5794336739e463cdd281f9d975e7e1f6f3ab2aac0afb07eb28583c34452b0", _EMPTY, 0),
+    "gen":
+        ("d1380d2bb6ed5cc4c53eee51c46b7d938cf8fd57e0bba686c58085a8217250a9", _EMPTY, 0),
+    "check-good":
+        ("9d37363703841c2525244ad2c539396d0be0ebfb434b5a0d7c2d27c997ec9c02", _EMPTY, 0),
+    "search":
+        ("05e6a899ca1c1029b97b706fa658928ce200e1adca9162e1d9e57528225f1fd6", _EMPTY, 0),
+    "search-limit":
+        ("a36fc4281d35cc7e6d2530f407a8adf8260e07997543a5d015697cf5a7f50c80", _EMPTY, 0),
+    "map":
+        ("07a9627f2349a96075f77150bfe8b0479b39fbd7d82ef788979ee821d3a8de7e", _EMPTY, 0),
+    "kcore":
+        ("4422965093474033d8619f49cb3c6770bdc09a3ba3d791e8efdfabca298d8759", _EMPTY, 0),
+    "decompose":
+        ("1bece70d75b2c00147618357efe258677d907c56ca933e5b12b98fa1be5c0170", _EMPTY, 0),
+    "theory":
+        ("a4d8424a9d78abbf2ce8d4f81683d5ab3529b52fa1ff1a74b82531404f89e328", _EMPTY, 0),
+    "theory-no-conditions":
+        ("093dad1dc884855421f9bb9b825af16802a958eacc6e462bd14f99cfdc67f840", _EMPTY, 0),
+    "fano":
+        ("b1bd7b041de0ee5a93c0ee9c82bbda174a158fc55ca2444951f64a10fd1b7891", _EMPTY, 0),
+    "psi":
+        ("518b0510b0288a170d7cc0a1d7ca04ef7f5c1a56ad1885f3faa2cd3245a71972", _EMPTY, 0),
+    "ck":
+        ("fefd6b7207f5d71c4e0108d41d5ba40bba5df9b1da325cfedbd69da6451b50cc", _EMPTY, 0),
+    "muk":
+        ("719d42c34df4dfadde5de19b658ca01744d8d8363a4cef6e90c79b5ff0a97018", _EMPTY, 0),
+    "mgf":
+        ("93c3ae70941a3be4fc87f8898e256bcdd3261c67ba1a47a3202bf0aba438641f", _EMPTY, 0),
+    "mgf-n":
+        ("0728991881ae26daa87820ec92d5ae9be9290f497b753dadabebb078b3bc2aef", _EMPTY, 0),
+    "zeta":
+        ("c3acfbcf75945531ff4d6108a108296bf30f9bd9ba46212b8cc4d1ef5cc0e2bb", _EMPTY, 0),
+    "error-q-above-s":
+        (_EMPTY, "38c72d3c22e2cee9ac765bcbc0954bdaf68736e149f5dbdf84a0e45d9606a2f9", 2),
+    "error-missing-file":
+        (_EMPTY, "1c3d3b9322006802717f9a27d212a6d9cc11cc47a66c2b4c4f12eb5a9bea8bbe", 2),
+    "error-unknown-flag":
+        (_EMPTY, "0979a9a083b0e4128968e0ad760046f0d3df5fcb1e6a2b6109056c600b8f1066", 2),
+    "error-no-command":
+        (_EMPTY, "e45c7e91a72587e66e0673bff1e6e238f9c4254e584e56104f7048ae7f97a246", 2),
+    "error-mgf-overflow":
+        (_EMPTY, "82ab3cfb29eca3db46e7746c38e56609f55d44dfdb4927f99457d2234d8838b9", 2),
+    "error-capacity":
+        (_EMPTY, "84a80e22749966cfd69e136494160bbf3ce9ca8c8967bdca0824f1355a96c8a3", 3),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_cli_output_is_pinned(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("ALIGN_LAB_WORKERS", raising=False)
+    _golden_inputs(tmp_path)
+    capsys.readouterr()
+    try:
+        rc = main(GOLDEN[name])
+    except SystemExit as exc:  # argparse exits on --help and on usage errors
+        rc = exc.code
+    out, err = capsys.readouterr()
+    got = (hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest(), rc)
+    assert got == GOLDEN_DIGESTS[name]
