@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable
 
 from . import storage
 from .errors import CapacityError, ParameterError
@@ -33,12 +34,45 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CAPACITY = 3
 
+# An argument is a flag with its ``add_argument`` keywords.
+Argument = tuple[str, dict]
+Handler = Callable[[argparse.Namespace], dict]
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+# The command table: name -> (help, arguments, handler), in subcommand order.
+# A handler takes the parsed namespace and returns the JSON payload.
+COMMANDS: dict[str, tuple[str, tuple[Argument, ...], Handler]] = {}
 
 
-def _cmd_run(args: argparse.Namespace) -> None:
+def _required(flag: str, type_=None) -> Argument:
+    return flag, {"type": type_, "required": True}
+
+
+def _default(flag: str, type_, default) -> Argument:
+    return flag, {"type": type_, "default": default}
+
+
+def _switch(flag: str) -> Argument:
+    return flag, {"action": "store_true"}
+
+
+N, Q, S = _required("--n", int), _required("--q", float), _required("--s", float)
+ALPHA = _required("--alpha", float)
+INSTANCE = _required("--instance")
+FORCE_LARGE = _switch("--force-large")
+
+
+def command(name: str, help_: str, *arguments: Argument):
+    """Register the decorated handler as subcommand ``name``."""
+
+    def register(handler: Handler) -> Handler:
+        COMMANDS[name] = (help_, arguments, handler)
+        return handler
+
+    return register
+
+
+@command("run", "execute an experiment config", _required("--config"))
+def _run(args: argparse.Namespace) -> dict:
     config = parse_config(args.config)
     env_workers = os.environ.get("ALIGN_LAB_WORKERS")
     if env_workers:
@@ -48,265 +82,186 @@ def _cmd_run(args: argparse.Namespace) -> None:
             raise ParameterError(f"ALIGN_LAB_WORKERS is not an integer: {env_workers!r}") from exc
         config = with_workers(config, workers)
     result = run(config)
-    payload = {
+    fields = ("point_index", "n", "q", "s", "nqs", "trials", "success_fraction")
+    return {
         "csv": str(result.csv_path),
         "sidecar": str(result.sidecar_path),
         "rows": len(result.records),
-        "points": [
-            {
-                "point_index": s.point_index,
-                "n": s.n,
-                "q": s.q,
-                "s": s.s,
-                "nqs": s.nqs,
-                "trials": s.trials,
-                "success_fraction": s.success_fraction,
-            }
-            for s in result.summaries
-        ],
+        "points": [{f: getattr(s, f) for f in fields} for s in result.summaries],
     }
-    _emit(payload)
 
 
-def _cmd_gen(args: argparse.Namespace) -> None:
-    params = ModelParams(args.n, args.q, args.s)
-    inst = generate(params, args.seed)
+@command(
+    "gen", "draw an instance and write a bundle directory",
+    N, Q, S, _required("--seed", int), _required("--out"),
+)
+def _gen(args: argparse.Namespace) -> dict:
+    inst = generate(ModelParams(args.n, args.q, args.s), args.seed)
     storage.write_instance(inst, args.out)
-    _emit(
-        {
-            "out": str(args.out),
-            "n": params.n,
-            "edges_a": inst.g_a.num_edges,
-            "edges_b": inst.g_b.num_edges,
-            "seed": args.seed,
-        }
-    )
+    return {
+        "out": str(args.out),
+        "n": args.n,
+        "edges_a": inst.g_a.num_edges,
+        "edges_b": inst.g_b.num_edges,
+        "seed": args.seed,
+    }
 
 
-def _cmd_check_good(args: argparse.Namespace) -> None:
+@command(
+    "check-good", "goodness report for a permutation",
+    INSTANCE, _required("--pi"), ALPHA,
+)
+def _check_good(args: argparse.Namespace) -> dict:
     inst = storage.read_instance(args.instance)
     pi = storage.read_permutation(args.pi)
     report = is_good(inst.g_a, inst.g_b, pi, inst.params, args.alpha)
-    _emit(
-        {
-            "threshold_degree": report.threshold_degree,
-            "count_high_degree": report.count_high_degree,
-            "required": report.required,
-            "is_good": report.is_good,
-            "degree_histogram": {str(k): v for k, v in sorted(report.degree_histogram.items())},
-        }
-    )
+    return {
+        "threshold_degree": report.threshold_degree,
+        "count_high_degree": report.count_high_degree,
+        "required": report.required,
+        "is_good": report.is_good,
+        "degree_histogram": {str(k): v for k, v in sorted(report.degree_histogram.items())},
+    }
 
 
-def _cmd_search(args: argparse.Namespace) -> None:
+@command(
+    "search", "enumerate permutations until one is good",
+    INSTANCE, ALPHA, _default("--limit", int, None), FORCE_LARGE,
+)
+def _search(args: argparse.Namespace) -> dict:
     inst = storage.read_instance(args.instance)
     res = find_good(
-        inst.g_a,
-        inst.g_b,
-        inst.params,
-        args.alpha,
-        limit=args.limit,
-        force_large=args.force_large,
+        inst.g_a, inst.g_b, inst.params, args.alpha,
+        limit=args.limit, force_large=args.force_large,
     )
     payload = {"found": res.permutation is not None, "tested": res.tested}
     if res.permutation is not None:
         payload["pi"] = list(res.permutation.image)
         payload["overlap_with_pistar"] = overlap(res.permutation, inst.pi_star)
-    _emit(payload)
+    return payload
 
 
-def _cmd_map(args: argparse.Namespace) -> None:
+@command("map", "exhaustive maximum a posteriori alignment", INSTANCE, FORCE_LARGE)
+def _map(args: argparse.Namespace) -> dict:
     inst = storage.read_instance(args.instance)
     pi_hat = map_estimate(inst.g_a, inst.g_b, force_large=args.force_large)
-    _emit(
-        {
-            "pi": list(pi_hat.image),
-            "objective": overlap_objective(inst.g_a, inst.g_b, pi_hat),
-            "overlap_with_pistar": overlap(pi_hat, inst.pi_star),
-            "perms_tested": math.factorial(inst.params.n),
-        }
-    )
+    return {
+        "pi": list(pi_hat.image),
+        "objective": overlap_objective(inst.g_a, inst.g_b, pi_hat),
+        "overlap_with_pistar": overlap(pi_hat, inst.pi_star),
+        "perms_tested": math.factorial(inst.params.n),
+    }
 
 
-def _cmd_kcore(args: argparse.Namespace) -> None:
+@command("kcore", "k-core of a graph file", _required("--graph"), _required("--k", float))
+def _kcore(args: argparse.Namespace) -> dict:
     g = storage.read_graph(args.graph)
     res = k_core(g, args.k)
-    _emit(
-        {
-            "k": res.k,
-            "size": len(res.members),
-            "fraction": res.fraction,
-            "members": list(res.members),
-        }
-    )
+    return {
+        "k": res.k,
+        "size": len(res.members),
+        "fraction": res.fraction,
+        "members": list(res.members),
+    }
 
 
-def _cmd_decompose(args: argparse.Namespace) -> None:
+@command(
+    "decompose", "ordered-pair cycle census of two permutations",
+    _required("--pi"), _required("--pistar"),
+)
+def _decompose(args: argparse.Namespace) -> dict:
     pi = storage.read_permutation(args.pi)
     pi_star = storage.read_permutation(args.pistar)
     dec = decompose(pi, pi_star)
-    _emit(
-        {
-            "eps": dec.eps,
-            "s1_size": len(dec.s1),
-            "s21_size": len(dec.s21),
-            "cycles": census_rows(dec),
-        }
-    )
+    return {
+        "eps": dec.eps,
+        "s1_size": len(dec.s1),
+        "s21_size": len(dec.s21),
+        "cycles": census_rows(dec),
+    }
 
 
-def _cmd_theory(args: argparse.Namespace) -> None:
-    report = theory_report(args.n, args.q, args.s, args.alpha, args.beta, args.gamma)
-    _emit(report.to_dict())
+@command(
+    "theory", "full bound report for a parameter point",
+    N, Q, S, ALPHA, _default("--beta", float, None), _default("--gamma", float, None),
+)
+def _theory(args: argparse.Namespace) -> dict:
+    return theory_report(args.n, args.q, args.s, args.alpha, args.beta, args.gamma).to_dict()
 
 
-def _cmd_fano(args: argparse.Namespace) -> None:
+@command("fano", "impossibility bound at a parameter point", N, Q, S, ALPHA)
+def _fano(args: argparse.Namespace) -> dict:
     params = ModelParams(args.n, args.q, args.s)
     bound = fano_bound(args.n, args.q, args.s, args.alpha)
-    _emit(
-        {
-            "raw": bound.raw,
-            "clamped": bound.clamped,
-            "kl": kl_divergence(dist_p(params), dist_q(params)),
-        }
-    )
+    return {
+        "raw": bound.raw,
+        "clamped": bound.clamped,
+        "kl": kl_divergence(dist_p(params), dist_q(params)),
+    }
 
 
-def _cmd_psi(args: argparse.Namespace) -> None:
-    _emit({"j": args.j, "mu": args.mu, "psi": psi(args.j, args.mu)})
+@command(
+    "psi", "Poisson upper tail P(Po(mu) >= j)",
+    _required("--j", float), _required("--mu", float),
+)
+def _psi(args: argparse.Namespace) -> dict:
+    return {"j": args.j, "mu": args.mu, "psi": psi(args.j, args.mu)}
 
 
-def _cmd_ck(args: argparse.Namespace) -> None:
+@command("ck", "core-emergence constant inf mu/psi_{k-1}(mu)", _required("--k", float))
+def _ck(args: argparse.Namespace) -> dict:
     res = c_k(args.k)
-    _emit({"k": args.k, "c_k": res.value, "argmin_mu": res.argmin})
+    return {"k": args.k, "c_k": res.value, "argmin_mu": res.argmin}
 
 
-def _cmd_muk(args: argparse.Namespace) -> None:
-    root = mu_k(args.k, args.lam)
-    _emit({"k": args.k, "lam": args.lam, "mu_k": root})
+@command(
+    "muk", "largest root of mu = lam * psi_{k-1}(mu)",
+    _required("--k", float), _required("--lam", float),
+)
+def _muk(args: argparse.Namespace) -> dict:
+    return {"k": args.k, "lam": args.lam, "mu_k": mu_k(args.k, args.lam)}
 
 
-def _cmd_mgf(args: argparse.Namespace) -> None:
+@command(
+    "mgf", "cyclic-sum moment generating function",
+    _required("--k-pairs", int), _required("--t", float), _default("--n", int, 2), Q, S,
+)
+def _mgf(args: argparse.Namespace) -> dict:
     params = ModelParams(args.n, args.q, args.s)
-    _emit(
-        {
-            "k_pairs": args.k_pairs,
-            "t": args.t,
-            "mgf": mgf_zk(args.k_pairs, args.t, params),
-        }
-    )
+    return {"k_pairs": args.k_pairs, "t": args.t, "mgf": mgf_zk(args.k_pairs, args.t, params)}
 
 
-def _cmd_zeta(args: argparse.Namespace) -> None:
+@command(
+    "zeta", "Chernoff minimization bound base and minimizer",
+    _required("--tau", float), _required("--q1", float), _required("--q2", float),
+)
+def _zeta(args: argparse.Namespace) -> dict:
     res = chernoff_zeta(args.tau, args.q1, args.q2)
-    _emit({"tau": args.tau, "q1": args.q1, "q2": args.q2, "zeta": res.zeta, "z_star": res.z_star})
+    return {"tau": args.tau, "q1": args.q1, "q2": args.q2, "zeta": res.zeta, "z_star": res.z_star}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="align-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("run", help="execute an experiment config")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("gen", help="draw an instance and write a bundle directory")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("check-good", help="goodness report for a permutation")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--pi", required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.set_defaults(func=_cmd_check_good)
-
-    p = sub.add_parser("search", help="enumerate permutations until one is good")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--force-large", action="store_true")
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("map", help="exhaustive maximum a posteriori alignment")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--force-large", action="store_true")
-    p.set_defaults(func=_cmd_map)
-
-    p = sub.add_parser("kcore", help="k-core of a graph file")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=float, required=True)
-    p.set_defaults(func=_cmd_kcore)
-
-    p = sub.add_parser("decompose", help="ordered-pair cycle census of two permutations")
-    p.add_argument("--pi", required=True)
-    p.add_argument("--pistar", required=True)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("theory", help="full bound report for a parameter point")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.set_defaults(func=_cmd_theory)
-
-    p = sub.add_parser("fano", help="impossibility bound at a parameter point")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.set_defaults(func=_cmd_fano)
-
-    p = sub.add_parser("psi", help="Poisson upper tail P(Po(mu) >= j)")
-    p.add_argument("--j", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
-    p.set_defaults(func=_cmd_psi)
-
-    p = sub.add_parser("ck", help="core-emergence constant inf mu/psi_{k-1}(mu)")
-    p.add_argument("--k", type=float, required=True)
-    p.set_defaults(func=_cmd_ck)
-
-    p = sub.add_parser("muk", help="largest root of mu = lam * psi_{k-1}(mu)")
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--lam", type=float, required=True)
-    p.set_defaults(func=_cmd_muk)
-
-    p = sub.add_parser("mgf", help="cyclic-sum moment generating function")
-    p.add_argument("--k-pairs", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.set_defaults(func=_cmd_mgf)
-
-    p = sub.add_parser("zeta", help="Chernoff minimization bound base and minimizer")
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--q1", type=float, required=True)
-    p.add_argument("--q2", type=float, required=True)
-    p.set_defaults(func=_cmd_zeta)
-
+    for name, (help_, arguments, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        payload = args.func(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except ParameterError as exc:
+    except (ParameterError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 

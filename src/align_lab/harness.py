@@ -26,12 +26,12 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 
 from .errors import ConfigError, ParameterError
-from .model import ModelParams, generate
+from .model import ModelParams, check_parent_budget, generate
 from .perms import overlap
 from .recovery import MAX_EXHAUSTIVE_N, find_good, is_good, map_estimate
 from .theory import theory_report
@@ -97,21 +97,6 @@ class ExperimentConfig:
     force_large: bool = False
     limit: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "points": [list(p) for p in self.points],
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "workers": self.workers,
-            "output": str(self.output),
-            "force_large": self.force_large,
-            "limit": self.limit,
-        }
-
 
 _SCALAR_KEYS = {
     "mode": str,
@@ -138,7 +123,11 @@ def _parse_bool(raw: str, key: str) -> bool:
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate a flat key=value config file."""
+    """Parse and validate a flat key=value config file.
+
+    Raises ConfigError for a malformed config and CapacityError for a grid
+    point over the parent-edge budget, before any trial runs.
+    """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -216,11 +205,12 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
     for n, q, s in points:
         try:
-            ModelParams(n, q, s)
+            params = ModelParams(n, q, s)
         except ParameterError as exc:
             raise ConfigError(f"grid point (n={n}, q={q}, s={s}) is invalid: {exc}") from exc
         if q <= 0.0:
             raise ConfigError(f"grid point (n={n}, q={q}, s={s}) needs q > 0 to simulate")
+        check_parent_budget(params)
         if mode in ("search-small", "map-small") and n > MAX_EXHAUSTIVE_N and not force_large:
             raise ConfigError(f"mode {mode} needs n <= {MAX_EXHAUSTIVE_N} (or force_large)")
 
@@ -396,7 +386,8 @@ def run(config: ExperimentConfig) -> RunResult:
     csv_path.write_text("\n".join(lines) + "\n")
 
     sidecar_path = Path(str(csv_path) + ".json")
-    sidecar_path.write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
+    sidecar = json.dumps(asdict(config), indent=2, sort_keys=True, default=str)
+    sidecar_path.write_text(sidecar + "\n")
 
     return RunResult(
         csv_path=csv_path,

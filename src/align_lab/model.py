@@ -45,7 +45,9 @@ _GEOM_BATCH_MIN = 1024
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """The package-wide RNG: PCG64 seeded with an explicit integer."""
+    """The package-wide RNG: PCG64 seeded with an explicit non-negative integer."""
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -297,13 +299,13 @@ def _er_edge_slots(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     chunks = []
     last = -1
     while last < total:
-        gaps = rng.geometric(p, size=batch).astype(np.int64)
-        gaps[0] += last
-        positions = np.cumsum(gaps)
+        positions = rng.geometric(p, size=batch)  # int64 gaps, summed in place
+        positions[0] += last
+        np.cumsum(positions, out=positions)
         chunks.append(positions)
         last = int(positions[-1])
-    slots = np.concatenate(chunks)
-    return slots[slots < total]
+    slots = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return slots[: np.searchsorted(slots, total)]
 
 
 def _slots_to_keys(slots: np.ndarray, n: int) -> np.ndarray:
@@ -334,6 +336,15 @@ class CorrelatedInstance:
             raise ParameterError("instance components disagree on the node count")
 
 
+def check_parent_budget(params: ModelParams) -> None:
+    """Raise CapacityError if the expected parent edge count exceeds the budget."""
+    expected = math.comb(params.n, 2) * params.parent_p
+    if expected > MAX_PARENT_EDGES:
+        raise CapacityError(
+            f"expected parent edge count {expected:.3g} exceeds the budget {MAX_PARENT_EDGES}"
+        )
+
+
 def generate(params: ModelParams, seed: int) -> CorrelatedInstance:
     """Draw a correlated instance; a pure function of (params, seed).
 
@@ -342,12 +353,8 @@ def generate(params: ModelParams, seed: int) -> CorrelatedInstance:
     """
     if params.q <= 0.0:
         raise ParameterError("generate requires q > 0")
+    check_parent_budget(params)
     n = params.n
-    expected = math.comb(n, 2) * params.parent_p
-    if expected > MAX_PARENT_EDGES:
-        raise CapacityError(
-            f"expected parent edge count {expected:.3g} exceeds the budget {MAX_PARENT_EDGES}"
-        )
     rng = make_rng(seed)
     keys = _slots_to_keys(_er_edge_slots(n, params.parent_p, rng), n)
     keep_a = rng.random(keys.size) < params.s

@@ -44,6 +44,8 @@ def psi(j: float, mu: float) -> float:
     """
     if not (math.isfinite(mu) and mu > 0):
         raise ParameterError(f"mu must be positive, got {mu}")
+    if not math.isfinite(j):
+        raise ParameterError(f"j must be finite, got {j}")
     idx = ceil_snap(j)
     if idx <= 0:
         return 1.0
@@ -261,7 +263,7 @@ def recovery_conditions(
     params = ModelParams(n, q, s)
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
-    if beta <= 0.0 or gamma <= 0.0:
+    if not (beta > 0.0 and gamma > 0.0):
         raise ParameterError(f"beta and gamma must be positive, got {beta}, {gamma}")
     nqs = params.nqs
     threshold = max(
@@ -370,7 +372,7 @@ def good_prob_bound(
     params = ModelParams(n, q, s)
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
-    if beta <= 0.0 or gamma <= 0.0:
+    if not (beta > 0.0 and gamma > 0.0):
         raise ParameterError(f"beta and gamma must be positive, got {beta}, {gamma}")
     p11 = q * s
     if p11 <= 0.0:

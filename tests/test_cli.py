@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from align_lab import ModelParams, Permutation, generate, make_rng
+from align_lab import ModelParams, Permutation, generate, harness, make_rng
 from align_lab.cli import main
 from align_lab.perms import _DECOMPOSE_PAIR_LIMIT
 from align_lab.storage import read_instance, write_instance, write_permutation
@@ -217,6 +217,15 @@ VALIDATION_CASES = {
               f"trials = 1\noutput = {tmp / 'w.csv'}\n"),
     ],
     "mgf-overflow": lambda tmp: ["mgf", "--k-pairs", "2", "--t", "1e6", "--q", "0.2", "--s", "0.6"],
+    "psi-inf": lambda tmp: ["psi", "--j", "inf", "--mu", "1.0"],
+    "psi-nan": lambda tmp: ["psi", "--j", "nan", "--mu", "1.0"],
+    "theory-beta-nan": lambda tmp: [
+        "theory", "--n", "200", "--q", "0.05", "--s", "0.5", "--alpha", "0.4",
+        "--beta", "nan", "--gamma", "0.3",
+    ],
+    "gen-negative-seed": lambda tmp: (
+        ["gen", "--n", "7", "--q", "0.4", "--s", "0.9", "--seed", "-1", "--out", str(tmp / "x")]
+    ),
 }
 
 
@@ -235,6 +244,20 @@ def test_capacity_exit_code(capsys):
     )
     assert rc == 3
     assert "capacity error" in capsys.readouterr().err
+
+
+def test_run_over_budget_exits_before_any_trial(tmp_path, capsys, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(harness, "generate", lambda *args: drawn.append(args))
+    out = tmp_path / "over.csv"
+    cfg = _file(
+        tmp_path, "over.cfg",
+        "mode = pistar-good\nn = 2000, 1000000\nq = 0.2\ns = 0.5\nalpha = 0.4\n"
+        f"trials = 1\noutput = {out}\n",
+    )
+    assert main(["run", "--config", cfg]) == 3
+    assert "capacity error" in capsys.readouterr().err
+    assert drawn == [] and not out.exists()
 
 
 def test_decompose_capacity_exit_code(tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 
 from align_lab import (
     CSV_COLUMNS,
+    CapacityError,
     ConfigError,
     derive_seed,
     parse_config,
@@ -130,6 +131,13 @@ def test_parse_config_rejects_invalid_grid_point(tmp_path):
     bad = GOOD_CONFIG.replace("q = 0.2", "q = 0.9")  # q > s
     with pytest.raises(ConfigError):
         parse_config(_write_config(tmp_path, bad.format(out=tmp_path / "r.csv")))
+
+
+def test_parse_config_checks_parent_budget(tmp_path):
+    # n = 2000 fits; the second point's ~2e11 parent edges do not
+    over = GOOD_CONFIG.replace("n = 60", "n = 2000, 1000000")
+    with pytest.raises(CapacityError):
+        parse_config(_write_config(tmp_path, over.format(out=tmp_path / "r.csv")))
 
 
 def test_parse_config_nqs_grid(tmp_path):

@@ -235,6 +235,13 @@ def test_generate_capacity_guard():
         generate(ModelParams(100_000, 0.4, 0.5), seed=1)
 
 
+def test_make_rng_rejects_negative_seed():
+    with pytest.raises(ParameterError):
+        make_rng(-1)
+    with pytest.raises(ParameterError):
+        generate(ModelParams(10, 0.2, 0.5), seed=-1)
+
+
 def test_generate_s1_gives_isomorphic_pair():
     # no subsampling: B is exactly A pushed through pi_star, for any seed
     for seed in range(5):

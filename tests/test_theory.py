@@ -89,6 +89,12 @@ def test_psi_rejects_bad_mu():
         psi(2, -1.0)
 
 
+@pytest.mark.parametrize("j", [math.inf, -math.inf, math.nan])
+def test_psi_rejects_non_finite_index(j):
+    with pytest.raises(ParameterError):
+        psi(j, 1.0)
+
+
 def test_psi_extreme_tails():
     # far upper tail stays accurate in relative terms instead of flushing to 0
     assert psi(200, 5.0) == pytest.approx(_psi_oracle(200, 5.0), rel=1e-10)
@@ -496,6 +502,13 @@ def test_theory_report_without_conditions():
     assert rep.conditions is None
     assert rep.good_prob_bound == 1.0
     assert rep.to_dict()["conditions"] is None
+
+
+@pytest.mark.parametrize("bound", [recovery_conditions, good_prob_bound])
+@pytest.mark.parametrize("beta, gamma", [(math.nan, 0.3), (0.3, math.nan)])
+def test_exponent_bounds_reject_nan(bound, beta, gamma):
+    with pytest.raises(ParameterError):
+        bound(20000, 0.013, 0.5, 0.5, beta, gamma)
 
 
 def test_theory_report_requires_both_exponents():
