@@ -11,15 +11,36 @@ compared against integer degrees without rounding.
 Every intersection query relabels A through the permutation into B's labels
 (``Graph.relabeled``, which sorts the mapped keys) and probes B's sorted edge
 keys with ``searchsorted`` (sorted needles walk the haystack in order, which
-keeps the probe cache friendly): O(m_A log m_A) per permutation.  The
-exhaustive routines enumerate image lists in lexicographic order and
+keeps the probe cache friendly): O(m_A log m_A) per permutation.
+
+The exhaustive routines enumerate image lists in lexicographic order and
 evaluate them in vectorized batches; results are reported as if the scan
 were strictly sequential, so the returned permutation is always the
-lexicographically first hit.
+lexicographically first hit.  The image lists come from one read-only int8
+table of all k! lists of range(k), k = min(n, 8), built once per k with
+numpy and cached (322 KB at k = 8).  For n > 8 the scan walks the
+length-(n - 8) prefixes in lexicographic order and follows each with the
+8-table mapped through the labels the prefix leaves, so memory stays at
+the table's size whatever n and the budget are.  Instead of mapping the
+table, B's dense adjacency is relabeled once per prefix (prefix labels
+first, then the rest in increasing order), and each batch gathers its
+matches through one flat index into it, computed from the table's columns.
+
+Two exact exits skip enumeration without changing any result:
+
+- ``find_good`` scans nothing when fewer than n*(1+alpha)/2 nodes of A, or
+  of B, have degree >= n*q*s/2.  An intersection degree is at most the A
+  degree of its node and the B degree of that node's image, and pi is a
+  bijection, so then no candidate is good; ``tested`` is the budget, as a
+  full scan would report.
+- ``map_estimate`` stops once its best objective equals min(m_A, m_B),
+  which no objective exceeds.  A later candidate must beat the best
+  strictly, so the lexicographically first maximizer is kept.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,6 +56,9 @@ from .perms import Permutation
 MAX_EXHAUSTIVE_N = 10
 
 _CHUNK = 2048
+# Image lists come from the cached table of all _TABLE_K! lists (8! * 8 bytes)
+# under a prefix of the first n - _TABLE_K images.
+_TABLE_K = 8
 
 
 @dataclass(frozen=True)
@@ -122,14 +146,25 @@ def is_good(
 # -- vectorized enumeration ----------------------------------------------------
 
 
-def _perm_chunks(n: int) -> Iterator[np.ndarray]:
-    """Lexicographic image lists in (_CHUNK, n) batches."""
-    it = itertools.permutations(range(n))
-    while True:
-        block = list(itertools.islice(it, _CHUNK))
-        if not block:
-            return
-        yield np.array(block, dtype=np.int64)
+@functools.lru_cache(maxsize=None)
+def _lex_table(k: int) -> np.ndarray:
+    """All k! image lists of ``range(k)`` in lexicographic order, (k!, k) int8, read-only.
+
+    For each first image f, f is followed by the table of k - 1 mapped
+    through the labels other than f, which are in increasing order.
+    """
+    if k == 0:
+        table = np.zeros((1, 0), dtype=np.int8)
+    else:
+        sub = _lex_table(k - 1)
+        labels = np.arange(k, dtype=np.int8)
+        rest = np.array([np.delete(labels, f) for f in range(k)])  # (k, k - 1)
+        rows = k * sub.shape[0]
+        table = np.concatenate(
+            [np.repeat(labels, sub.shape[0])[:, None], rest[:, sub].reshape(rows, k - 1)], axis=1
+        )
+    table.flags.writeable = False
+    return table
 
 
 def _dense_adjacency(g: Graph) -> np.ndarray:
@@ -148,27 +183,38 @@ def _check_exhaustive_size(n: int, force_large: bool) -> None:
 
 
 def _scan(
-    g_a: Graph, g_b: Graph, limit: int | None
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The first ``limit`` (default all n!) image lists in lexicographic order.
+    g_a: Graph, g_b: Graph, budget: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The first ``budget`` image lists in lexicographic order.
 
-    Yields ``(offset, block, matched)`` per batch: ``offset`` is the 0-based
-    position of ``block[0]`` in the scan, and ``matched[c, e]`` says whether
-    A's edge ``e`` (in ``g_a.edges()`` order) lands on an edge of B under
-    ``block[c]``.  Callers check the graph sizes first.
+    The image lists are the length-(n - k) prefixes, k = min(n, _TABLE_K), in
+    lexicographic order, each followed by the k-table mapped through the
+    labels that the prefix leaves.  Yields ``(offset, order, local, matched)``
+    per batch: column c of ``order[local]`` is the image list of candidate
+    ``offset + c`` (0-based), and ``matched[e, c]`` says whether A's edge
+    ``e`` (in ``g_a.edges()`` order) lands on an edge of B under it.  B's
+    adjacency is relabeled by ``order`` once per prefix, so the batches
+    gather straight from ``local``.  Callers check the graph sizes first.
     """
     n = g_a.n
+    k = min(n, _TABLE_K)
+    table = _lex_table(k)
     b_adj = _dense_adjacency(g_b)
     e = g_a.edges()
-    total = math.factorial(n)
-    budget = total if limit is None else min(limit, total)
     offset = 0
-    for block in _perm_chunks(n):
-        block = block[: budget - offset]
-        yield offset, block, b_adj[block[:, e[:, 0]], block[:, e[:, 1]]]
-        offset += block.shape[0]
-        if offset >= budget:
-            return
+    for prefix in itertools.permutations(range(n), n - k):
+        order = np.array(prefix + tuple(x for x in range(n) if x not in prefix), dtype=np.intp)
+        b_flat = b_adj[np.ix_(order, order)].ravel()
+        for start in range(0, table.shape[0], _CHUNK):
+            stop = min(start + _CHUNK, table.shape[0], start + budget - offset)
+            local = np.empty((n, stop - start), dtype=np.intp)
+            local[: n - k] = np.arange(n - k)[:, None]
+            local[n - k :] = table[start:stop].T
+            local[n - k :] += n - k
+            yield offset, order, local, b_flat[local[e[:, 0]] * n + local[e[:, 1]]]
+            offset += stop - start
+            if offset >= budget:
+                return
 
 
 def find_good(
@@ -182,7 +228,9 @@ def find_good(
     """Scan permutations in lexicographic order; return the first good one.
 
     ``tested`` is the 1-based position of the returned permutation, or the
-    number of candidates examined (capped by ``limit``) when none is good.
+    number of candidates decided (capped by ``limit``) when none is good.
+    Candidates ruled out by the degree bound, without a scan, count as
+    decided.
     """
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
@@ -193,37 +241,50 @@ def find_good(
 
     threshold = params.nqs / 2.0
     required = n * (1.0 + alpha) / 2.0
-    # Edge-node incidence of A: matched @ incidence is the (c, n) degree matrix.
+    total = math.factorial(n)
+    budget = total if limit is None else min(limit, total)
+    # An intersection degree is at most the A degree of its node and the B
+    # degree of that node's image, and pi is a bijection: without enough
+    # high-degree nodes in both graphs no candidate is good.
+    for g in (g_a, g_b):
+        if np.count_nonzero(g.degrees() >= threshold) < required:
+            return SearchResult(None, budget)
+
+    # Node-edge incidence of A: incidence @ matched is the (n, c) degree matrix.
     # float32 sends the product to BLAS and holds degrees < 2**24 exactly.
     e = g_a.edges()
-    incidence = np.zeros((e.shape[0], n), dtype=np.float32)
-    rows = np.arange(e.shape[0])
-    incidence[rows, e[:, 0]] = 1.0
-    incidence[rows, e[:, 1]] = 1.0
+    incidence = np.zeros((n, e.shape[0]), dtype=np.float32)
+    cols = np.arange(e.shape[0])
+    incidence[e[:, 0], cols] = 1.0
+    incidence[e[:, 1], cols] = 1.0
 
-    tested = 0
-    for offset, block, matched in _scan(g_a, g_b, limit):
-        degrees = matched.astype(np.float32) @ incidence
-        hits = np.flatnonzero(np.count_nonzero(degrees >= threshold, axis=1) >= required)
+    for offset, order, local, matched in _scan(g_a, g_b, budget):
+        degrees = incidence @ matched.astype(np.float32)
+        hits = np.flatnonzero(np.count_nonzero(degrees >= threshold, axis=0) >= required)
         if hits.size:
             first = int(hits[0])
-            return SearchResult(Permutation(block[first]), offset + first + 1)
-        tested = offset + block.shape[0]
-    return SearchResult(None, tested)
+            return SearchResult(Permutation(order[local[:, first]]), offset + first + 1)
+    return SearchResult(None, budget)
 
 
 def map_estimate(g_a: Graph, g_b: Graph, force_large: bool = False) -> Permutation:
     """Exhaustive maximizer of the edge overlap; ties go to the
     lexicographically smallest image list."""
-    _check_exhaustive_size(_check_same_size(g_a, g_b), force_large)
+    n = _check_same_size(g_a, g_b)
+    _check_exhaustive_size(n, force_large)
+    # No objective exceeds min(m_A, m_B); a later candidate must beat the
+    # best strictly, so the scan can stop once the best reaches it.
+    ceiling = min(g_a.num_edges, g_b.num_edges)
     best_obj = -1
     best: np.ndarray | None = None
-    for _, block, matched in _scan(g_a, g_b, None):
-        obj = matched.sum(axis=1)
+    for _, order, local, matched in _scan(g_a, g_b, math.factorial(n)):
+        obj = matched.sum(axis=0)
         top = int(obj.argmax())
         if obj[top] > best_obj:
             best_obj = int(obj[top])
-            best = block[top].copy()
+            best = order[local[:, top]]
+            if best_obj == ceiling:
+                break
     assert best is not None
     return Permutation(best)
 

@@ -177,6 +177,34 @@ def test_m_alpha_log_domain_switch():
     assert boundary.log_m_alpha == pytest.approx(log_direct, rel=1e-12)
 
 
+def _full_log_m_alpha(n: int, alpha: float) -> float:
+    logs = [log_rencontres(n, k) for k in range(max(ceil_snap(n * alpha), 1), n + 1)]
+    peak = max(logs)
+    return peak + math.log(math.fsum(math.exp(x - peak) for x in logs))
+
+
+@pytest.mark.parametrize("n", [*range(171, 2997, 7 * 29), 20000, 100000])
+def test_m_alpha_tail_cut_matches_full_sum(n):
+    # the cut drops terms below e^-80 of the peak, so the double is unchanged
+    for alpha in (0.1, 0.25, 0.4, 0.5, 0.6, 0.8, 0.95):
+        res = m_alpha(n, alpha)
+        assert res.log_m_alpha == _full_log_m_alpha(n, alpha)
+        assert res.log_ratio == math.lgamma(n + 1) - res.log_m_alpha
+
+
+def test_m_alpha_near_identity_keeps_the_identity_term():
+    # k_min = n - 2 and n - 3: the zero term R(n, n-1) must not end the sum
+    # before R(n, n) = 1, which is not negligible there
+    for n, alpha in ((500, 0.995), (500, 0.994), (171, 0.99)):
+        assert m_alpha(n, alpha).log_m_alpha == _full_log_m_alpha(n, alpha)
+
+
+def test_m_alpha_returns_at_huge_n():
+    res = m_alpha(10**12, 0.5)
+    assert not res.is_exact
+    assert math.isfinite(res.log_ratio) and res.log_ratio > 0
+
+
 def test_ceil_snap_guards_float_products():
     assert 0.07 * 100 > 7  # the raw float hazard this guards against
     assert ceil_snap(0.07 * 100) == 7

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from align_lab import (
     map_estimate,
     overlap,
     overlap_objective,
+    recovery,
 )
 
 
@@ -251,6 +253,22 @@ _IMAGES_7 = list(itertools.permutations(range(7)))
 _ER_7 = ModelParams(7, 0.4, 0.9)
 
 
+@pytest.fixture
+def scanned(monkeypatch):
+    """Candidates the enumeration kernel yields, one entry per scan started."""
+    counts: list[int] = []
+    real_scan = recovery._scan
+
+    def spy(g_a, g_b, budget):
+        counts.append(0)
+        for item in real_scan(g_a, g_b, budget):
+            counts[-1] += item[-1].shape[1]
+            yield item
+
+    monkeypatch.setattr(recovery, "_scan", spy)
+    return counts
+
+
 def _rigid_pair_with_hit_at_2049():
     # B is the rigid graph relabeled by the first candidate of the second block;
     # with threshold 2 and 5 nodes required, the first good candidate is that one
@@ -263,26 +281,33 @@ def _generated(seed, alpha):
     return inst.g_a, inst.g_b, _ER_7, alpha
 
 
-# name -> (g_a, g_b, params, alpha), 1-based position of the first good candidate
+# name -> (g_a, g_b, params, alpha), 1-based position of the first good candidate,
+# and the path: "bound" when too few nodes of A or of B reach the degree
+# threshold, so no candidate is scanned; "scan" otherwise
 _SEARCH_CASES_7 = {
-    "hit-at-2049": (_rigid_pair_with_hit_at_2049, 2049),
-    "hit-at-2926": (lambda: _generated(10, 0.4), 2926),
-    "hit-at-3": (lambda: _generated(2, 0.6), 3),
-    "no-hit": (lambda: _generated(0, 0.6), None),
-    "empty-graphs": (lambda: (Graph.empty(7), Graph.empty(7), _ER_7, 0.6), None),
-    "empty-a": (lambda: (Graph.empty(7), _rigid_graph(), _ER_7, 0.6), None),
-    "empty-graphs-q0": (lambda: (Graph.empty(7), Graph.empty(7), ModelParams(7, 0.0, 0.5), 0.6), 1),
+    "hit-at-2049": (_rigid_pair_with_hit_at_2049, 2049, "scan"),
+    "hit-at-2926": (lambda: _generated(10, 0.4), 2926, "scan"),
+    "hit-at-3": (lambda: _generated(2, 0.6), 3, "scan"),
+    "no-hit": (lambda: _generated(0, 0.6), None, "bound"),
+    "no-hit-full-scan": (lambda: _generated(11, 0.4), None, "scan"),
+    "empty-graphs": (lambda: (Graph.empty(7), Graph.empty(7), _ER_7, 0.6), None, "bound"),
+    "empty-a": (lambda: (Graph.empty(7), _rigid_graph(), _ER_7, 0.6), None, "bound"),
+    "empty-b": (lambda: (_rigid_graph(), Graph.empty(7), _ER_7, 0.4), None, "bound"),
+    "empty-graphs-q0": (
+        lambda: (Graph.empty(7), Graph.empty(7), ModelParams(7, 0.0, 0.5), 0.6), 1, "scan"
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(_SEARCH_CASES_7))
-def test_find_good_matches_naive_scan_across_blocks(name):
-    build, expected_hit = _SEARCH_CASES_7[name]
+def test_find_good_matches_naive_scan_across_blocks(name, scanned):
+    build, expected_hit, path = _SEARCH_CASES_7[name]
     g_a, g_b, params, alpha = build()
     good = [is_good(g_a, g_b, Permutation(list(im)), params, alpha).is_good for im in _IMAGES_7]
     first = next((i for i, flag in enumerate(good) if flag), None)
     assert (None if first is None else first + 1) == expected_hit
-    for limit in (None, 2048, 2049, 4097):
+    limits = (None, 2048, 2049, 2925, 4097)
+    for limit in limits:
         budget = len(good) if limit is None else min(limit, len(good))
         res = find_good(g_a, g_b, params, alpha, limit=limit)
         if first is None or first >= budget:
@@ -291,10 +316,18 @@ def test_find_good_matches_naive_scan_across_blocks(name):
         else:
             assert res.permutation == Permutation(list(_IMAGES_7[first]))
             assert res.tested == first + 1
+        if path == "scan":
+            assert scanned[-1] >= res.tested
+    assert len(scanned) == (len(limits) if path == "scan" else 0)
 
 
-@pytest.mark.parametrize("seed", [0, 3, 10])
-def test_map_matches_naive_lexicographic_argmax(seed):
+# seed -> path: "ceiling" when the maximum is min(m_A, m_B), which ends the
+# scan at the block of the first maximiser; "full" when all 7! are scanned
+_MAP_SEEDS_7 = {0: "ceiling", 3: "ceiling", 10: "ceiling", 5: "full"}
+
+
+@pytest.mark.parametrize("seed", list(_MAP_SEEDS_7))
+def test_map_matches_naive_lexicographic_argmax(seed, scanned):
     inst = generate(_ER_7, seed=seed)
     objectives = [
         overlap_objective(inst.g_a, inst.g_b, Permutation(list(im))) for im in _IMAGES_7
@@ -302,6 +335,70 @@ def test_map_matches_naive_lexicographic_argmax(seed):
     # max returns the first maximal element, i.e. the lexicographically first one
     best = max(range(len(objectives)), key=objectives.__getitem__)
     assert map_estimate(inst.g_a, inst.g_b) == Permutation(list(_IMAGES_7[best]))
+    ceiling = min(inst.g_a.num_edges, inst.g_b.num_edges)
+    if _MAP_SEEDS_7[seed] == "ceiling":
+        assert objectives[best] == ceiling
+        assert scanned == [min(len(_IMAGES_7), (best // recovery._CHUNK + 1) * recovery._CHUNK)]
+    else:
+        assert objectives[best] < ceiling
+        assert scanned == [len(_IMAGES_7)]
+
+
+# -- the enumeration table and the prefix walk -------------------------------------
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_lex_table_is_itertools_order_and_read_only(k):
+    table = recovery._lex_table(k)
+    assert table.tolist() == [list(im) for im in itertools.permutations(range(k))]
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_scan_walks_prefixes_in_itertools_order(n):
+    # 2 * 8! + 5 rows cross two prefix boundaries of the 8-table
+    budget = 2 * math.factorial(8) + 5
+    g = Graph.empty(n)
+    rows = np.concatenate([order[local].T for _, order, local, _ in recovery._scan(g, g, budget)])
+    expected = np.array(list(itertools.islice(itertools.permutations(range(n)), budget)))
+    assert np.array_equal(rows, expected)
+
+
+def _rigid_graph_9() -> Graph:
+    # triangle 0-1-2, tail 2-3-4-5-6, path 0-7-8; automorphism group is trivial
+    return Graph.from_edges(
+        9, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 7), (7, 8)]
+    )
+
+
+def test_find_good_hit_at_first_candidate_of_second_prefix():
+    # rank 40321 is (1, 0, 2, ..., 8), the first image list after the 8! lists
+    # that start with 0; threshold 2 and 7 nodes required, as in hit-at-2049
+    image = next(itertools.islice(itertools.permutations(range(9)), 40320, None))
+    g = _rigid_graph_9()
+    g_b, params = g.relabeled(np.array(image)), ModelParams(9, 4 / 9, 1.0)
+    hit = find_good(g, g_b, params, 0.5, limit=40321)
+    assert hit == recovery.SearchResult(Permutation(list(image)), 40321)
+    assert is_good(g, g_b, hit.permutation, params, 0.5).is_good
+    assert find_good(g, g_b, params, 0.5, limit=40320) == recovery.SearchResult(None, 40320)
+
+
+def test_limited_large_scan_stays_small():
+    # A is a 12-cycle, B two 6-cycles: every node passes the degree bound, but
+    # at most 8 nodes keep both cycle edges, so no candidate is good (9 required)
+    n, budget = 12, 2 * math.factorial(8) + 5
+    g_a = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    g_b = Graph.from_edges(n, [(i, 6 * (i // 6) + (i + 1) % 6) for i in range(n)])
+    tracemalloc.start()
+    try:
+        res = find_good(g_a, g_b, ModelParams(n, 1 / 3, 1.0), 0.5, limit=budget, force_large=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == recovery.SearchResult(None, budget)
+    assert peak < 8 * 2**20  # 12! image lists of 12 bytes would take 5.7 GB
 
 
 # -- k-core --------------------------------------------------------------------
