@@ -26,6 +26,15 @@ The parent is never held as an edge list: its row-major slots map to the
 sorted edge keys ``u*n + v`` that ``Graph`` stores, the retention coins
 select the keys of A and of B' from them, and B is B' relabeled through the
 permutation.
+
+The generator and the relabel decode sorted keys by row runs, not per key:
+one ``searchsorted`` over the n + 1 row boundaries gives the number of keys
+in each row, and ``repeat`` of a per-row value over those counts gives the
+row's share of every key.  Slots become keys by adding ``(i+1)(i+2)/2`` to
+the slots of row i, and a key's lower endpoint u is its row, the upper
+endpoint v its key minus ``u*n``.  ``degrees``, ``edges`` and ``neighbors``
+keep the per-key ``divmod``: on the small graphs of the exhaustive search
+its one call costs less than the runs' several.
 """
 
 from __future__ import annotations
@@ -255,20 +264,33 @@ class Graph:
     def density(self) -> float:
         return self.num_edges / math.comb(self.n, 2) if self.n >= 2 else 0.0
 
-    def relabeled(self, image: np.ndarray) -> "Graph":
+    def relabeled(self, image: Permutation | np.ndarray) -> "Graph":
         """New graph with every edge (u, v) mapped to (image[u], image[v]).
 
-        ``image`` must be a bijection on the n nodes.  This is the one place
-        that maps edge keys through a permutation.
+        ``image`` is a Permutation of the n nodes, or an image list that
+        makes one.  ``_mapped_keys`` is the one place that maps edge keys
+        through a permutation; the intersection queries take its keys
+        unsorted.
         """
-        image = np.asarray(image, dtype=np.int64)
-        if image.shape != (self.n,) or not np.array_equal(np.sort(image), np.arange(self.n)):
-            raise ParameterError(f"relabeling must be a bijection on the {self.n} nodes")
-        u, v = np.divmod(self._keys, self.n)
-        u, v = image[u], image[v]
-        keys = np.minimum(u, v) * self.n + np.maximum(u, v)
+        keys = self._mapped_keys(image if isinstance(image, Permutation) else Permutation(image))
         keys.sort()
         return Graph(self.n, keys)
+
+    def _mapped_keys(self, pi: Permutation) -> np.ndarray:
+        """Unsorted keys of the edges mapped through ``pi``: a new array,
+        without repeats, since the keys are unique and ``pi`` is a bijection."""
+        if len(pi) != self.n:
+            raise ParameterError(f"relabeling must be a bijection on the {self.n} nodes")
+        image = pi.as_array()
+        row_keys = np.arange(0, (self.n + 1) * self.n, self.n, dtype=np.int64)
+        counts = _run_lengths(self._keys, row_keys)
+        v = image[self._keys - row_keys[:-1].repeat(counts)]
+        u = image.repeat(counts)
+        keys = np.minimum(u, v)
+        np.maximum(u, v, out=u)
+        keys *= self.n
+        keys += u
+        return keys
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -308,17 +330,26 @@ def _er_edge_slots(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     return slots[: np.searchsorted(slots, total)]
 
 
+def _run_lengths(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
+    """How many of the sorted ``values`` lie in each [boundaries[i], boundaries[i+1])."""
+    ends = values.searchsorted(boundaries)
+    return ends[1:] - ends[:-1]
+
+
 def _slots_to_keys(slots: np.ndarray, n: int) -> np.ndarray:
-    """Map row-major upper-triangle slot indices to edge keys i*n + j, i < j.
+    """Map sorted unique row-major upper-triangle slot indices to edge keys
+    i*n + j, i < j, in place; returns ``slots``.
 
     Row i starts at slot i*n - i(i+1)/2, so slot t of row i has key
-    t + (i+1)(i+2)/2: sorted unique slots give sorted unique keys.
+    t + (i+1)(i+2)/2: sorted unique slots give sorted unique keys.  The
+    slots of each row are one run, found by one ``searchsorted`` over the
+    n + 1 row starts (the last is the slot count C(n, 2)); every slot must
+    lie below it.
     """
-    rows = np.arange(n, dtype=np.int64)
-    tri = rows * (rows + 1) // 2
-    row_start = rows * n - tri
-    # searchsorted(side="right") is the row index plus one
-    return slots + tri[np.searchsorted(row_start, slots, side="right")]
+    rows = np.arange(n + 1, dtype=np.int64)
+    tri = rows.cumsum()
+    slots += tri[1:].repeat(_run_lengths(slots, rows * n - tri))
+    return slots
 
 
 @dataclass(frozen=True)
@@ -360,6 +391,9 @@ def generate(params: ModelParams, seed: int) -> CorrelatedInstance:
     keep_a = rng.random(keys.size) < params.s
     keep_b = rng.random(keys.size) < params.s
     pi_star = Permutation(rng.permutation(n))
-    g_a = Graph(n, keys[keep_a])
-    g_b = Graph(n, keys[keep_b]).relabeled(pi_star.as_array())
+    g_a = Graph(n, keys.compress(keep_a))
+    b_prime = Graph(n, keys.compress(keep_b))
+    # free the parent before the relabel, which holds three arrays of B's size
+    del keys, keep_a, keep_b
+    g_b = b_prime.relabeled(pi_star)
     return CorrelatedInstance(g_a=g_a, g_b=g_b, pi_star=pi_star, params=params, seed=seed)

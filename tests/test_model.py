@@ -5,11 +5,12 @@ distributional and determinism guarantees."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from align_lab import (
@@ -200,17 +201,57 @@ def test_relabeled_rejects_non_bijection(image):
         Graph.from_edges(3, [(0, 2)]).relabeled(np.array(image))
 
 
+def _row_start(n: int, i: int) -> int:
+    """First slot of row i in the row-major upper triangle of n nodes."""
+    return i * n - i * (i + 1) // 2
+
+
+def _boundary_slots(n: int, rows) -> list[int]:
+    """First and last slot of each row, in increasing order."""
+    return [t for i in sorted(set(rows)) for t in (_row_start(n, i), _row_start(n, i + 1) - 1)]
+
+
 @pytest.mark.parametrize("n", [3, 1000, 10**6 + 3])
 def test_slots_to_keys_at_row_boundaries(n):
-    # first and last slot of rows 0, 1, n-3 and n-2 against the closed form
-    def row_start(i: int) -> int:
-        return i * n - i * (i + 1) // 2
-
-    rows = (0, 1, n - 3, n - 2)
-    slots = [t for i in rows for t in (row_start(i), row_start(i + 1) - 1)]
+    # first and last slot of rows 0, 1, n-3 and n-2 against the closed form;
+    # sorted unique rows: at n = 3, rows 0 and 1 are also n - 3 and n - 2
+    rows = tuple(sorted({0, 1, n - 3, n - 2}))
     expected = [pair for i in rows for pair in ([i, i + 1], [i, n - 1])]
-    keys = _slots_to_keys(np.array(slots, dtype=np.int64), n)
+    keys = _slots_to_keys(np.array(_boundary_slots(n, rows), dtype=np.int64), n)
     assert np.column_stack(np.divmod(keys, n)).tolist() == expected
+
+
+def _slots_to_keys_by_slot(slots: np.ndarray, n: int) -> np.ndarray:
+    """Oracle: each slot's row by its own binary search over the row starts."""
+    rows = np.arange(n, dtype=np.int64)
+    tri = rows * (rows + 1) // 2
+    return slots + tri[np.searchsorted(rows * n - tri, slots, side="right")]
+
+
+@st.composite
+def _sorted_unique_slots(draw):
+    n = draw(st.integers(2, 2000))
+    total = n * (n - 1) // 2
+    rows = draw(st.lists(st.integers(0, n - 2), max_size=8))
+    slots = draw(st.sets(st.integers(0, total - 1), max_size=300)) | set(_boundary_slots(n, rows))
+    return n, np.array(sorted(slots), dtype=np.int64)
+
+
+_HUGE_N = 10**6 + 3
+_HUGE_ROWS = (0, 1, _HUGE_N // 2, _HUGE_N - 3, _HUGE_N - 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sorted_unique_slots())
+@example((_HUGE_N, np.array(_boundary_slots(_HUGE_N, _HUGE_ROWS), dtype=np.int64)))
+@example((2, np.empty(0, dtype=np.int64)))
+def test_slots_to_keys_matches_per_slot_search(case):
+    n, slots = case
+    expected = _slots_to_keys_by_slot(slots, n)
+    given_slots = slots.copy()
+    keys = _slots_to_keys(given_slots, n)
+    assert keys is given_slots  # mapped in place
+    assert keys.dtype == np.int64 and np.array_equal(keys, expected)
 
 
 # -- generator ----------------------------------------------------------------
@@ -260,6 +301,21 @@ def test_generate_relabel_consistency():
     for u, v in b_prime.edges():
         assert inst.g_b.has_edge(img[u], img[v])
     assert b_prime.num_edges == inst.g_b.num_edges
+
+
+def test_generate_peak_memory_per_parent_edge():
+    # n = 20000, nqs = 130: 5.2 M parent edges.  The parent keys and the coin
+    # masks must be freed before B' is relabeled; holding them through the
+    # relabel peaks at 34 B per parent edge.
+    params = ModelParams(20000, 0.013, 0.5)
+    parent_edges = _er_edge_slots(params.n, params.parent_p, make_rng(11)).size
+    tracemalloc.start()
+    try:
+        generate(params, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * parent_edges
 
 
 def test_generate_marginal_densities():

@@ -30,6 +30,7 @@ from align_lab import (
     overlap_objective,
     recovery,
 )
+from align_lab.model import _er_edge_slots
 
 
 def _random_graph(n: int, p: float, rng) -> Graph:
@@ -99,6 +100,64 @@ def test_intersection_size_mismatch():
         intersection_graph(Graph.empty(3), Graph.empty(4), Permutation.identity(3))
 
 
+@pytest.mark.parametrize("size", [3, 5])
+@pytest.mark.parametrize(
+    "query",
+    [
+        intersection_degrees,
+        intersection_graph,
+        overlap_objective,
+        lambda g_a, g_b, pi: is_good(g_a, g_b, pi, ModelParams(4, 0.5, 1.0), 0.5),
+    ],
+    ids=["intersection_degrees", "intersection_graph", "overlap_objective", "is_good"],
+)
+def test_wrong_length_permutation_is_rejected(query, size):
+    # a longer pi could send two A edges to one key, which would read as a match
+    g = Graph.complete(4)
+    with pytest.raises(ParameterError):
+        query(g, g, Permutation.identity(size))
+
+
+def _matched_keys_by_probe(g_a: Graph, g_b: Graph, pi: Permutation) -> np.ndarray:
+    """Oracle: relabel A with divmod, sort, and probe B with searchsorted."""
+    n = g_a.n
+    u, v = np.divmod(g_a.edge_keys(), n)
+    u, v = pi.as_array()[u], pi.as_array()[v]
+    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    b_keys = g_b.edge_keys()
+    if b_keys.size == 0:
+        return keys[:0]
+    pos = np.searchsorted(b_keys, keys)
+    return keys[b_keys[np.minimum(pos, b_keys.size - 1)] == keys]
+
+
+@st.composite
+def _dense_or_sparse_pair(draw):
+    n = draw(st.integers(2, 300))
+
+    def graph():
+        kind = draw(st.sampled_from(["empty", "complete", "random"]))
+        if kind != "random":
+            return Graph.empty(n) if kind == "empty" else Graph.complete(n)
+        keep = make_rng(draw(st.integers(0, 2**32 - 1))).random(n * (n - 1) // 2)
+        pairs = np.column_stack(np.triu_indices(n, k=1))
+        return Graph.from_edges(n, pairs[keep < draw(st.floats(0.0, 1.0))])
+
+    g_a, g_b = graph(), graph()
+    return g_a, g_b, Permutation.random(n, make_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dense_or_sparse_pair())
+def test_matched_keys_match_searchsorted_probe(case):
+    g_a, g_b, pi = case
+    keys = recovery._matched_keys(g_a, g_b, pi)
+    expected = _matched_keys_by_probe(g_a, g_b, pi)
+    assert keys.dtype == expected.dtype and np.array_equal(keys, expected)
+    # B against itself under the identity: every key matches exactly once
+    assert np.array_equal(recovery._matched_keys(g_b, g_b, Permutation.identity(g_b.n)), g_b.edge_keys())
+
+
 # -- goodness -----------------------------------------------------------------
 
 
@@ -126,6 +185,23 @@ def test_is_good_histogram_covers_all_nodes():
     inst = generate(ModelParams(60, 0.2, 0.6), seed=4)
     report = is_good(inst.g_a, inst.g_b, inst.pi_star, inst.params, 0.3)
     assert sum(report.degree_histogram.values()) == 60
+
+
+def test_is_good_extra_peak_memory_per_parent_edge():
+    # n = 20000, nqs = 130: 5.2 M parent edges.  One sort of A's unsorted
+    # mapped keys with B's keys needs no sorted copy of A beside the
+    # probe's temporaries, which peaked at 16 B per parent edge.
+    params = ModelParams(20000, 0.013, 0.5)
+    parent_edges = _er_edge_slots(params.n, params.parent_p, make_rng(11)).size
+    inst = generate(params, 11)
+    tracemalloc.start()
+    try:
+        report = is_good(inst.g_a, inst.g_b, inst.pi_star, params, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.is_good
+    assert peak <= 14 * parent_edges
 
 
 def test_is_good_alpha_validation():
