@@ -2,9 +2,9 @@
 and CSV/JSON persistence.
 
 Config files are flat ``key = value`` text ('#' starts a comment); unknown
-keys are rejected.  A grid is either the cartesian product of comma lists
-for n, q, s, or a comma list ``nqs`` with scalar n and s (q is derived as
-nqs/(n*s)).  Modes:
+keys are rejected and a bad value is reported with its ``path:line``.  A
+grid is either the cartesian product of comma lists for n, q, s, or a comma
+list ``nqs`` with scalar n and s (q is derived as nqs/(n*s)).  Modes:
 
 - ``pistar-good``: draw an instance, test whether the planted permutation is
   good (scales to large n),
@@ -26,14 +26,15 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
 from .errors import ConfigError, ParameterError
-from .model import ModelParams, check_parent_budget, generate
+from .model import ModelParams, check_alpha, check_exponents, check_parent_budget, generate
 from .perms import overlap
 from .recovery import MAX_EXHAUSTIVE_N, find_good, is_good, map_estimate
+from .storage import read_text
 from .theory import theory_report
 
 MODES = ("pistar-good", "search-small", "map-small", "sweep")
@@ -85,41 +86,94 @@ def derive_seed(base_seed: int, point_index: int, trial_index: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config.  Every field but ``points`` is the config key of its
+    name, and a field without a default is a required key."""
+
     mode: str
     points: tuple[tuple[int, float, float], ...]
     alpha: float
-    beta: float | None
-    gamma: float | None
     trials: int
-    base_seed: int
-    workers: int
     output: Path
+    beta: float | None = None
+    gamma: float | None = None
+    base_seed: int = 0
+    workers: int = 1
     force_large: bool = False
     limit: int | None = None
 
 
-_SCALAR_KEYS = {
-    "mode": str,
-    "alpha": float,
-    "beta": float,
-    "gamma": float,
-    "trials": int,
-    "base_seed": int,
-    "workers": int,
-    "output": str,
-    "force_large": None,  # boolean, parsed specially
-    "limit": int,
-}
-_LIST_KEYS = {"n": int, "q": float, "s": float, "nqs": float}
-
-
-def _parse_bool(raw: str, key: str) -> bool:
+def _bool(raw: str) -> bool:
     low = raw.lower()
     if low in ("true", "1", "yes"):
         return True
     if low in ("false", "0", "no"):
         return False
-    raise ConfigError(f"{key} must be true/false, got {raw!r}")
+    raise ValueError("must be true/false")
+
+
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    return value
+
+
+def _mode(raw: str) -> str:
+    if raw not in MODES:
+        raise ValueError(f"must be one of {MODES}")
+    return raw
+
+
+def _output(raw: str) -> Path:
+    if not raw:
+        raise ValueError("must not be empty")
+    return Path(raw)
+
+
+def _comma_list(cast):
+    def parse(raw: str) -> list:
+        values = [cast(tok.strip()) for tok in raw.split(",") if tok.strip()]
+        if not values:
+            raise ValueError("needs at least one value")
+        return values
+
+    return parse
+
+
+# Each config key and the caster of its value; a caster raises ValueError on
+# a bad value.  The grid keys n, q, s and nqs become ``points``; every other
+# key is the ``ExperimentConfig`` field of its name.
+_KEYS = {
+    "mode": _mode,
+    "n": _comma_list(int),
+    "q": _comma_list(float),
+    "s": _comma_list(float),
+    "nqs": _comma_list(float),
+    "alpha": float,
+    "beta": float,
+    "gamma": float,
+    "trials": _positive_int,
+    "base_seed": int,
+    "workers": lambda raw: max(1, int(raw)),
+    "output": _output,
+    "force_large": _bool,
+    "limit": _positive_int,
+}
+
+
+def _grid(values: dict) -> tuple[tuple[int, float, float], ...]:
+    """Pop the grid keys from ``values`` and return the grid points."""
+    ns, qs, ss, nqs_list = (values.pop(key, None) for key in ("n", "q", "s", "nqs"))
+    if ns is None or ss is None:
+        raise ConfigError("n and s are required")
+    if (qs is None) == (nqs_list is None):
+        raise ConfigError("exactly one of q or nqs must be given")
+    if nqs_list is None:
+        return tuple((n, q, s) for n in ns for q in qs for s in ss)
+    if len(ns) != 1 or len(ss) != 1:
+        raise ConfigError("an nqs grid needs scalar n and s")
+    (n,), (s,) = ns, ss
+    return tuple((n, target / (n * s), s) for target in nqs_list)
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -128,105 +182,41 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     Raises ConfigError for a malformed config and CapacityError for a grid
     point over the parent-edge budget, before any trial runs.
     """
-    raw: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
+    values: dict = {}
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        key, eq, value = (part.strip() for part in line.split("#", 1)[0].partition("="))
+        if not (key or eq):
             continue
-        if "=" not in stripped:
+        if not eq:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SCALAR_KEYS and key not in _LIST_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in raw:
+        if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        raw[key] = value
-
-    def parsed(key: str, default=None):
-        if key not in raw:
-            return default
-        caster = _SCALAR_KEYS[key]
-        if caster is None:
-            return _parse_bool(raw[key], key)
         try:
-            return caster(raw[key])
+            values[key] = _KEYS[key](value)
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {raw[key]!r}") from exc
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r} ({exc})") from exc
 
-    def parsed_list(key: str) -> list | None:
-        if key not in raw:
-            return None
-        caster = _LIST_KEYS[key]
-        try:
-            return [caster(tok.strip()) for tok in raw[key].split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {raw[key]!r}") from exc
-
-    mode = parsed("mode")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    if "output" not in raw:
-        raise ConfigError("output is required")
-    trials = parsed("trials", 0)
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-
-    ns = parsed_list("n")
-    qs = parsed_list("q")
-    ss = parsed_list("s")
-    nqs_list = parsed_list("nqs")
-    if not ns or not ss:
-        raise ConfigError("n and s are required")
-    if (qs is None) == (nqs_list is None):
-        raise ConfigError("exactly one of q or nqs must be given")
-    points: list[tuple[int, float, float]] = []
-    if nqs_list is not None:
-        if len(ns) != 1 or len(ss) != 1:
-            raise ConfigError("an nqs grid needs scalar n and s")
-        n, s = ns[0], ss[0]
-        points = [(n, target / (n * s), s) for target in nqs_list]
-    else:
-        points = [(n, q, s) for n in ns for q in qs for s in ss]
-
-    alpha = parsed("alpha")
-    if alpha is None:
-        raise ConfigError("alpha is required")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    beta, gamma = parsed("beta"), parsed("gamma")
-    if (beta is None) != (gamma is None):
-        raise ConfigError("beta and gamma must be given together")
-    if beta is not None and not (beta > 0.0 and gamma > 0.0):
-        raise ConfigError(f"beta and gamma must be positive, got {beta}, {gamma}")
-    limit = parsed("limit", None)
-    if limit is not None and limit < 1:
-        raise ConfigError(f"limit must be >= 1, got {limit}")
-    force_large = parsed("force_large", False)
-
-    for n, q, s in points:
-        try:
+    points = _grid(values)
+    for field in fields(ExperimentConfig):
+        if field.default is MISSING and field.name not in values and field.name != "points":
+            raise ConfigError(f"{field.name} is required")
+    config = ExperimentConfig(points=points, **values)
+    try:
+        check_alpha(config.alpha)
+        check_exponents(config.beta, config.gamma)
+        for n, q, s in points:
             params = ModelParams(n, q, s)
-        except ParameterError as exc:
-            raise ConfigError(f"grid point (n={n}, q={q}, s={s}) is invalid: {exc}") from exc
-        if q <= 0.0:
-            raise ConfigError(f"grid point (n={n}, q={q}, s={s}) needs q > 0 to simulate")
-        check_parent_budget(params)
-        if mode in ("search-small", "map-small") and n > MAX_EXHAUSTIVE_N and not force_large:
-            raise ConfigError(f"mode {mode} needs n <= {MAX_EXHAUSTIVE_N} (or force_large)")
-
-    return ExperimentConfig(
-        mode=mode,
-        points=tuple(points),
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        trials=trials,
-        base_seed=parsed("base_seed", 0),
-        workers=max(1, parsed("workers", 1)),
-        output=Path(parsed("output")),
-        force_large=force_large,
-        limit=limit,
-    )
+            if q <= 0.0:
+                raise ParameterError(f"grid point (n={n}, q={q}, s={s}) needs q > 0 to simulate")
+            check_parent_budget(params)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
+    exhaustive = config.mode in ("search-small", "map-small") and not config.force_large
+    if exhaustive and max(n for n, _, _ in points) > MAX_EXHAUSTIVE_N:
+        raise ConfigError(f"mode {config.mode} needs n <= {MAX_EXHAUSTIVE_N} (or force_large)")
+    return config
 
 
 @dataclass(frozen=True)
@@ -349,6 +339,9 @@ def run(config: ExperimentConfig) -> RunResult:
     ``<output>.json``.  Identical configs produce byte-identical CSVs,
     independent of the worker count.
     """
+    csv_path = config.output
+    # a bad output path fails here, before any trial runs
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
     keys = [(pi, ti) for pi in range(len(config.points)) for ti in range(config.trials)]
     trial = partial(_execute_trial, config)
     if config.workers <= 1:
@@ -379,8 +372,6 @@ def run(config: ExperimentConfig) -> RunResult:
         for pi, (n, q, s) in enumerate(config.points)
     )
 
-    csv_path = config.output
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
     lines = [CSV_VERSION_LINE, ",".join(CSV_COLUMNS)]
     lines.extend(",".join(r.csv_row()) for r in records)
     csv_path.write_text("\n".join(lines) + "\n")

@@ -98,6 +98,21 @@ class ModelParams:
         return self.q / self.s
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ParameterError unless the overlap level alpha lies in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def check_exponents(beta: float | None, gamma: float | None) -> None:
+    """Raise ParameterError unless the exponents beta and gamma are both
+    absent, or both given, finite and positive."""
+    if (beta is None) != (gamma is None):
+        raise ParameterError("beta and gamma must be given together")
+    if beta is not None and not all(0.0 < x < math.inf for x in (beta, gamma)):
+        raise ParameterError(f"beta and gamma must be finite and positive, got {beta}, {gamma}")
+
+
 @dataclass(frozen=True)
 class PairDistribution:
     """Distribution of a {0,1}x{0,1} edge-indicator pair.
@@ -249,6 +264,8 @@ class Graph:
         return targets[starts[i] : starts[i + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ParameterError(f"endpoints ({u}, {v}) out of range for n={self.n}")
         key = min(u, v) * self.n + max(u, v)
         pos = np.searchsorted(self._keys, key)
         return bool(pos < self._keys.size and self._keys[pos] == key)

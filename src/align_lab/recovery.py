@@ -52,7 +52,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .model import Graph, ModelParams
+from .model import Graph, ModelParams, check_alpha
 from .perms import Permutation
 
 # n! enumeration beyond this needs an explicit override.
@@ -123,8 +123,7 @@ def is_good(
     g_a: Graph, g_b: Graph, pi: Permutation, params: ModelParams, alpha: float
 ) -> GoodnessReport:
     """Goodness test: enough intersection-graph nodes of degree >= n*q*s/2."""
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     n = _check_same_size(g_a, g_b)
     if params.n != n:
         raise ParameterError("params.n does not match the graphs")
@@ -232,8 +231,7 @@ def find_good(
     Candidates ruled out by the degree bound, without a scan, count as
     decided.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if limit is not None and limit < 1:
         raise ParameterError(f"limit must be positive, got {limit}")
     n = _check_same_size(g_a, g_b)
@@ -297,12 +295,15 @@ def overlap_objective(g_a: Graph, g_b: Graph, pi: Permutation) -> int:
 def k_core(g: Graph, k: float, peel_order: list[int] | None = None) -> KCoreResult:
     """Iteratively peel nodes of degree < k; the fixed point is the k-core.
 
-    ``peel_order`` rearranges the initial scan only; the result is the same
-    for every order (exposed so tests can demonstrate that).
+    ``peel_order``, a permutation of range(n), rearranges the initial scan
+    only; the result is the same for every order (exposed so tests can
+    demonstrate that).
     """
     if not math.isfinite(k) or k < 0:
         raise ParameterError(f"k must be a finite nonnegative real, got {k}")
     n = g.n
+    if peel_order is not None and sorted(peel_order) != list(range(n)):
+        raise ParameterError(f"peel_order must be a permutation of range({n})")
     deg = g.degrees().astype(np.int64)
     alive = np.ones(n, dtype=bool)
     order = range(n) if peel_order is None else peel_order

@@ -3,11 +3,13 @@
 Graph file: first line ``n m``, then m lines ``u v`` with 0 <= u < v < n,
 sorted lexicographically.  Permutation file: one line of n whitespace-
 separated images.  Instance bundle: a directory holding ``ga.edges``,
-``gb.edges``, ``pistar.perm`` and ``meta.json`` (params plus seed).
+``gb.edges``, ``pistar.perm`` and ``meta.json`` (params plus seed).  Every
+reader takes UTF-8 text and raises ParameterError on malformed content.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 
@@ -23,6 +25,14 @@ PISTAR_FILE = "pistar.perm"
 META_FILE = "meta.json"
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of a file; other bytes raise ParameterError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def write_graph(g: Graph, path: str | Path) -> None:
     e = g.edges()
     with open(path, "w") as fh:
@@ -31,15 +41,16 @@ def write_graph(g: Graph, path: str | Path) -> None:
 
 
 def read_graph(path: str | Path) -> Graph:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ParameterError(f"{path}: first line must be 'n m'")
-        try:
-            n, m = int(header[0]), int(header[1])
-            data = np.loadtxt(fh, dtype=np.int64, ndmin=2) if m else np.empty((0, 2), np.int64)
-        except ValueError as exc:
-            raise ParameterError(f"{path}: edge file holds a non-integer token ({exc})") from exc
+    first, _, body = read_text(path).partition("\n")
+    header = first.split()
+    if len(header) != 2:
+        raise ParameterError(f"{path}: first line must be 'n m'")
+    rows = io.StringIO(body)
+    try:
+        n, m = int(header[0]), int(header[1])
+        data = np.loadtxt(rows, dtype=np.int64, ndmin=2) if m else np.empty((0, 2), np.int64)
+    except ValueError as exc:
+        raise ParameterError(f"{path}: edge file holds a non-integer token ({exc})") from exc
     if data.shape != (m, 2):
         raise ParameterError(f"{path}: expected {m} edge lines, found shape {data.shape}")
     if m and not np.all(data[:, 0] < data[:, 1]):
@@ -56,8 +67,7 @@ def write_permutation(pi: Permutation, path: str | Path) -> None:
 
 
 def read_permutation(path: str | Path) -> Permutation:
-    with open(path) as fh:
-        tokens = fh.read().split()
+    tokens = read_text(path).split()
     if not tokens:
         raise ParameterError(f"{path}: empty permutation file")
     try:
@@ -81,14 +91,18 @@ def write_instance(inst: CorrelatedInstance, directory: str | Path) -> Path:
 def read_instance(directory: str | Path) -> CorrelatedInstance:
     d = Path(directory)
     try:
-        meta = json.loads((d / META_FILE).read_text())
+        meta = json.loads(read_text(d / META_FILE))
+        params = ModelParams(n=meta["n"], q=float(meta["q"]), s=float(meta["s"]))
+        seed = int(meta["seed"])
     except FileNotFoundError as exc:
         raise ParameterError(f"{d}: not an instance bundle ({exc})") from exc
-    params = ModelParams(n=int(meta["n"]), q=float(meta["q"]), s=float(meta["s"]))
+    # not JSON (a ValueError), a key missing, or a value of the wrong type
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParameterError(f"{d / META_FILE}: bad instance metadata ({exc!r})") from exc
     return CorrelatedInstance(
         g_a=read_graph(d / GA_FILE),
         g_b=read_graph(d / GB_FILE),
         pi_star=read_permutation(d / PISTAR_FILE),
         params=params,
-        seed=int(meta["seed"]),
+        seed=seed,
     )

@@ -17,12 +17,12 @@ variable only depends on the ceiling of the cut.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import AlignLabError, NoRootError, ParameterError
-from .model import ModelParams, dist_p, dist_q, kl_divergence
+from .model import ModelParams, check_alpha, check_exponents, dist_p, dist_q, kl_divergence
 from .perms import ceil_snap, m_alpha
 
 
@@ -142,6 +142,9 @@ def mu_k(k: float, lam: float) -> float:
     step = lam / 1000.0
     hi = lam
     f_hi = f(hi)
+    if f_hi <= 0.0:
+        # psi_{k-1}(lam) rounds to 1: lam is the largest root to double precision
+        return lam
     lo = None
     mu = hi - step
     while mu > 0.0:
@@ -196,8 +199,7 @@ def fano_bound(n: int, q: float, s: float, alpha: float) -> FanoBound:
     projection onto [0, 1].
     """
     params = ModelParams(n, q, s)
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     kl = kl_divergence(dist_p(params), dist_q(params))
     log_ratio = m_alpha(n, alpha).log_ratio
     raw = 1.0 - (math.comb(n, 2) * kl + 1.0) / log_ratio
@@ -211,8 +213,7 @@ def impossibility_ratio(n: int, q: float, s: float, alpha: float) -> float:
     n it is reported as a plain number, never as a verdict.
     """
     params = ModelParams(n, q, s)
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     kl = kl_divergence(dist_p(params), dist_q(params))
     return (n / math.log(n)) * kl / alpha
 
@@ -240,12 +241,7 @@ class RecoveryConditions:
 
     @property
     def all_satisfied(self) -> bool:
-        return (
-            self.cond_mean_degree
-            and self.cond_correlation
-            and self.cond_sparsity_beta
-            and self.cond_sparsity_gamma
-        )
+        return all(self.flags())
 
     def flags(self) -> tuple[bool, bool, bool, bool]:
         return (
@@ -261,10 +257,8 @@ def recovery_conditions(
 ) -> RecoveryConditions:
     """Evaluate the four sufficient conditions literally, with margins."""
     params = ModelParams(n, q, s)
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
-    if not (beta > 0.0 and gamma > 0.0):
-        raise ParameterError(f"beta and gamma must be positive, got {beta}, {gamma}")
+    check_alpha(alpha)
+    check_exponents(beta, gamma)
     nqs = params.nqs
     threshold = max(
         20.0,
@@ -370,10 +364,8 @@ def good_prob_bound(
 ) -> GoodProbBound:
     """Bound e^{n(1-alpha)/16} * zeta^{n(1-alpha) n p11 / 8} on P(pi good)."""
     params = ModelParams(n, q, s)
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
-    if not (beta > 0.0 and gamma > 0.0):
-        raise ParameterError(f"beta and gamma must be positive, got {beta}, {gamma}")
+    check_alpha(alpha)
+    check_exponents(beta, gamma)
     p11 = q * s
     if p11 <= 0.0:
         raise ParameterError("good_prob_bound needs p11 = q*s > 0")
@@ -423,41 +415,20 @@ class TheoryReport:
     fano_raw: float
     fano_clamped: float
     impossibility_ratio: float
-    conditions: RecoveryConditions | None
     nqs: float
     good_prob_bound: float
+    conditions: RecoveryConditions | None
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "n": self.params.n,
-            "q": self.params.q,
-            "s": self.params.s,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "kl": self.kl,
-            "fano_raw": self.fano_raw,
-            "fano_clamped": self.fano_clamped,
-            "impossibility_ratio": self.impossibility_ratio,
-            "nqs": self.nqs,
-            "good_prob_bound": self.good_prob_bound,
-        }
+        """The fields in order, with ``params`` flattened to n, q, s and
+        ``all_satisfied`` after the four condition flags."""
+        out = asdict(self)
+        out = {**out.pop("params"), **out}
         if self.conditions is not None:
-            out["conditions"] = {
-                "cond_mean_degree": self.conditions.cond_mean_degree,
-                "cond_correlation": self.conditions.cond_correlation,
-                "cond_sparsity_beta": self.conditions.cond_sparsity_beta,
-                "cond_sparsity_gamma": self.conditions.cond_sparsity_gamma,
-                "all_satisfied": self.conditions.all_satisfied,
-                "nqs": self.conditions.nqs,
-                "mean_degree_threshold": self.conditions.mean_degree_threshold,
-                "mean_degree_margin": self.conditions.mean_degree_margin,
-                "correlation_margin": self.conditions.correlation_margin,
-                "sparsity_beta_margin": self.conditions.sparsity_beta_margin,
-                "sparsity_gamma_margin": self.conditions.sparsity_gamma_margin,
-            }
-        else:
-            out["conditions"] = None
+            items = list(out["conditions"].items())
+            flags = len(self.conditions.flags())
+            items.insert(flags, ("all_satisfied", self.conditions.all_satisfied))
+            out["conditions"] = dict(items)
         return out
 
 
@@ -478,9 +449,8 @@ def theory_report(
     kl = kl_divergence(dist_p(params), dist_q(params))
     fano = fano_bound(n, q, s, alpha)
     ratio = impossibility_ratio(n, q, s, alpha)
-    if (beta is None) != (gamma is None):
-        raise ParameterError("beta and gamma must be given together")
-    if beta is not None and gamma is not None:
+    check_exponents(beta, gamma)
+    if beta is not None:
         conds = recovery_conditions(n, q, s, alpha, beta, gamma)
         gpb = good_prob_bound(n, q, s, alpha, beta, gamma).value if q > 0 else 1.0
     else:
@@ -495,7 +465,7 @@ def theory_report(
         fano_raw=fano.raw,
         fano_clamped=fano.clamped,
         impossibility_ratio=ratio,
-        conditions=conds,
         nqs=params.nqs,
         good_prob_bound=gpb,
+        conditions=conds,
     )

@@ -127,6 +127,11 @@ def test_scalar_subcommands(capsys):
     assert rc == 0
     assert _json_out(capsys)["mu_k"] == pytest.approx(3.4229733, abs=1e-5)
 
+    # psi_2(45) rounds to 1, so 45 is the largest root to double precision
+    rc = main(["muk", "--k", "3", "--lam", "45"])
+    assert rc == 0
+    assert _json_out(capsys)["mu_k"] == 45.0
+
     rc = main(["mgf", "--k-pairs", "2", "--t", str(math.log(2)), "--q", "0.2", "--s", "0.6"])
     assert rc == 0
     assert _json_out(capsys)["mgf"] == pytest.approx(1.0944, abs=1e-12)
@@ -199,6 +204,21 @@ def _file(tmp_path, name: str, text: str) -> str:
     return str(path)
 
 
+def _bytes_file(tmp_path, name: str, data: bytes) -> str:
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+def _bundle(tmp_path, meta: str) -> str:
+    """An instance bundle whose meta.json holds ``meta``."""
+    path = write_instance(generate(ModelParams(7, 0.4, 0.9), 5), tmp_path / "bundle")
+    (path / "meta.json").write_text(meta)
+    return str(path)
+
+
+_RUN_HEAD = "mode = pistar-good\nn = 20\nq = 0.2\ns = 0.5\nalpha = 0.4\ntrials = 1\n"
+
 VALIDATION_CASES = {
     "gen-q-above-s": lambda tmp: (
         ["gen", "--n", "7", "--q", "0.8", "--s", "0.5", "--seed", "1", "--out", str(tmp / "x")]
@@ -226,6 +246,31 @@ VALIDATION_CASES = {
     "gen-negative-seed": lambda tmp: (
         ["gen", "--n", "7", "--q", "0.4", "--s", "0.9", "--seed", "-1", "--out", str(tmp / "x")]
     ),
+    "meta-not-json": lambda tmp: ["map", "--instance", _bundle(tmp, "{n = 7")],
+    "meta-missing-key": lambda tmp: [
+        "map", "--instance", _bundle(tmp, '{"n": 7, "q": 0.4, "s": 0.9}'),
+    ],
+    "meta-n-word": lambda tmp: [
+        "map", "--instance", _bundle(tmp, '{"n": "seven", "q": 0.4, "s": 0.9, "seed": 5}'),
+    ],
+    "meta-n-fraction": lambda tmp: [
+        "map", "--instance", _bundle(tmp, '{"n": 7.5, "q": 0.4, "s": 0.9, "seed": 5}'),
+    ],
+    "edges-not-utf8": lambda tmp: [
+        "kcore", "--graph", _bytes_file(tmp, "g.edges", b"3 1\n0 \xff\n"), "--k", "2",
+    ],
+    "perm-not-utf8": lambda tmp: [
+        "decompose",
+        "--pi", _bytes_file(tmp, "pi.perm", b"0 \xfe 2\n"),
+        "--pistar", _file(tmp, "pistar.perm", "0 1 2\n"),
+    ],
+    "config-not-utf8": lambda tmp: [
+        "run", "--config", _bytes_file(tmp, "u.cfg", b"mode = sweep\n# \xff\n"),
+    ],
+    "theory-beta-inf": lambda tmp: [
+        "theory", "--n", "200", "--q", "0.05", "--s", "0.5", "--alpha", "0.4",
+        "--beta", "inf", "--gamma", "0.3",
+    ],
 }
 
 
@@ -258,6 +303,18 @@ def test_run_over_budget_exits_before_any_trial(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", cfg]) == 3
     assert "capacity error" in capsys.readouterr().err
     assert drawn == [] and not out.exists()
+
+
+@pytest.mark.parametrize("output", ["", "blocker/run.csv"], ids=["empty", "under-a-file"])
+def test_run_bad_output_exits_before_any_trial(output, tmp_path, capsys, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(harness, "generate", lambda *args: drawn.append(args))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "blocker").write_text("a file, not a directory\n")
+    cfg = _file(tmp_path, "out.cfg", _RUN_HEAD + f"output = {output}\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert "validation error:" in capsys.readouterr().err
+    assert drawn == []
 
 
 def test_decompose_capacity_exit_code(tmp_path, capsys):

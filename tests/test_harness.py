@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
@@ -107,14 +108,47 @@ def test_parse_config_rejects_duplicate_key(tmp_path):
         ("workers = 1", "workers = 1\nlimit = 0"),
         ("workers = 1", "workers = 1\nbeta = 0\ngamma = 0.3"),
         ("workers = 1", "workers = 1\nbeta = 0.4\ngamma = -1"),
+        ("workers = 1", "workers = 1\nbeta = inf\ngamma = 0.3"),
+        ("workers = 1", "workers = 1\nbeta = 0.4\ngamma = nan"),
+        ("workers = 1", "workers = 1\nbeta = 0.4"),
+        ("output = {out}", "output ="),
+        ("mode = pistar-good", "mode = pistar"),
+        ("workers = 1", "workers = 1\nforce_large = maybe"),
+        ("q = 0.2", "q = ,"),
     ],
-    ids=["trials=0", "alpha=1.5", "alpha=0", "limit=-3", "limit=0", "beta=0", "gamma=-1"],
+    ids=[
+        "trials=0", "alpha=1.5", "alpha=0", "limit=-3", "limit=0", "beta=0", "gamma=-1",
+        "beta=inf", "gamma=nan", "beta-alone", "output-empty", "mode-unknown", "force_large=maybe",
+        "q-empty",
+    ],
 )
 def test_parse_config_rejects_out_of_range_value(tmp_path, old, new):
     # caught at parse time, before any trial generates an instance
     bad = GOOD_CONFIG.replace(old, new)
     with pytest.raises(ConfigError):
         parse_config(_write_config(tmp_path, bad.format(out=tmp_path / "r.csv")))
+
+
+@pytest.mark.parametrize("key", ["mode", "alpha", "trials", "output"])
+def test_parse_config_requires_key(tmp_path, key):
+    lines = GOOD_CONFIG.format(out=tmp_path / "r.csv").splitlines()
+    text = "\n".join(line for line in lines if not line.startswith(f"{key} ="))
+    with pytest.raises(ConfigError, match=f"{key} is required"):
+        parse_config(_write_config(tmp_path, text))
+
+
+def test_parse_config_defaults(tmp_path):
+    text = GOOD_CONFIG.replace("base_seed = 7\nworkers = 1\n", "")
+    cfg = parse_config(_write_config(tmp_path, text.format(out=tmp_path / "r.csv")))
+    assert (cfg.beta, cfg.gamma, cfg.base_seed, cfg.workers) == (None, None, 0, 1)
+    assert (cfg.force_large, cfg.limit) == (False, None)
+
+
+def test_parse_config_bad_value_names_its_line(tmp_path):
+    bad = GOOD_CONFIG.replace("trials = 2", "trials = two")
+    path = _write_config(tmp_path, bad.format(out=tmp_path / "r.csv"))
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:8: bad value for trials")):
+        parse_config(path)
 
 
 def test_parse_config_rejects_q_and_nqs_together(tmp_path):

@@ -143,6 +143,14 @@ def test_graph_basic_structure():
     assert g.edges().tolist() == [[0, 1], [0, 4], [1, 2]]
 
 
+@pytest.mark.parametrize("u, v", [(0, 6), (6, 0), (-1, 2), (1, 4)])
+def test_has_edge_rejects_out_of_range_endpoints(u, v):
+    # key 0*4 + 6 = 6 is the key of edge {1, 2}: an unchecked probe would find it
+    g = Graph.from_edges(4, [(1, 2)])
+    with pytest.raises(ParameterError):
+        g.has_edge(u, v)
+
+
 def test_graph_symmetry_invariant():
     g = Graph.from_edges(6, [(0, 1), (2, 5), (3, 4), (1, 5)])
     for i in range(g.n):

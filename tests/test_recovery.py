@@ -545,6 +545,13 @@ def test_k_core_order_invariance():
             assert k_core(g, 3, peel_order=order).members == reference
 
 
+@pytest.mark.parametrize("order", [[0], [0, 1, 2, 3, 4], [0, 0, 1], [2, 1, 0, 0]])
+def test_k_core_rejects_peel_order_that_is_not_a_permutation(order):
+    # [0] alone would never scan the isolated nodes 1 and 2 and keep them in the 1-core
+    with pytest.raises(ParameterError):
+        k_core(Graph.empty(3), 1, peel_order=order)
+
+
 def test_k_core_rejects_negative_k():
     with pytest.raises(ParameterError):
         k_core(Graph.empty(3), -1)

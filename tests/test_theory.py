@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy.special import gammainc
 
 from align_lab import (
@@ -161,6 +162,18 @@ def test_mu_k_is_largest_root():
     root = mu_k(k, lam)
     for mu in np.linspace(root * 1.0001, lam, 500):
         assert mu - lam * psi(k - 1, mu) > 0
+
+
+@pytest.mark.parametrize(
+    "k, lam",
+    [(3, 30.0), (10, 40.0), (3, 45.0), (3, 60.0), (3, 500.0), (10, 60.0), (50, 200.0)],
+)
+def test_mu_k_matches_mpmath_root_past_the_tail_cutoff(k, lam):
+    # From (3, 45) on, psi_{k-1}(lam) rounds to 1 and f(lam) = 0 exactly
+    with mp.workdps(50):
+        tail = lambda mu: mp.gammainc(k - 1, 0, mu, regularized=True)  # P(Po(mu) >= k-1)
+        root = mp.findroot(lambda mu: mu - lam * tail(mu), lam)
+    assert mu_k(k, lam) == pytest.approx(float(root), rel=1e-12)
 
 
 def test_mu_k_below_threshold_raises():
@@ -509,6 +522,25 @@ def test_theory_report_without_conditions():
 def test_exponent_bounds_reject_nan(bound, beta, gamma):
     with pytest.raises(ParameterError):
         bound(20000, 0.013, 0.5, 0.5, beta, gamma)
+
+
+@pytest.mark.parametrize("beta, gamma", [(math.inf, 0.3), (0.3, math.inf)])
+def test_theory_report_rejects_non_finite_exponents(beta, gamma):
+    with pytest.raises(ParameterError, match="finite and positive"):
+        theory_report(50, 0.1, 0.5, 0.5, beta, gamma)
+
+
+def test_theory_report_dict_layout():
+    d = theory_report(200, 0.05, 0.5, 0.4, 0.4, 0.3).to_dict()
+    assert list(d) == [
+        "n", "q", "s", "alpha", "beta", "gamma", "kl", "fano_raw", "fano_clamped",
+        "impossibility_ratio", "nqs", "good_prob_bound", "conditions",
+    ]
+    assert list(d["conditions"]) == [
+        "cond_mean_degree", "cond_correlation", "cond_sparsity_beta", "cond_sparsity_gamma",
+        "all_satisfied", "nqs", "mean_degree_threshold", "mean_degree_margin",
+        "correlation_margin", "sparsity_beta_margin", "sparsity_gamma_margin",
+    ]
 
 
 def test_theory_report_requires_both_exponents():
