@@ -175,8 +175,8 @@ def _decompose(args: argparse.Namespace) -> dict:
     dec = decompose(pi, pi_star)
     return {
         "eps": dec.eps,
-        "s1_size": len(dec.s1),
-        "s21_size": len(dec.s21),
+        "s1_size": dec.s1_size,
+        "s21_size": dec.s21_size,
         "cycles": census_rows(dec),
     }
 

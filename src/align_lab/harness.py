@@ -340,8 +340,12 @@ def run(config: ExperimentConfig) -> RunResult:
     independent of the worker count.
     """
     csv_path = config.output
+    sidecar_path = Path(str(csv_path) + ".json")
     # a bad output path fails here, before any trial runs
     csv_path.parent.mkdir(parents=True, exist_ok=True)
+    for path in (csv_path, sidecar_path):
+        if path.is_dir():
+            raise ParameterError(f"output path {str(path)!r} is a directory")
     keys = [(pi, ti) for pi in range(len(config.points)) for ti in range(config.trials)]
     trial = partial(_execute_trial, config)
     if config.workers <= 1:
@@ -376,7 +380,6 @@ def run(config: ExperimentConfig) -> RunResult:
     lines.extend(",".join(r.csv_row()) for r in records)
     csv_path.write_text("\n".join(lines) + "\n")
 
-    sidecar_path = Path(str(csv_path) + ".json")
     sidecar = json.dumps(asdict(config), indent=2, sort_keys=True, default=str)
     sidecar_path.write_text(sidecar + "\n")
 

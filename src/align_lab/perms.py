@@ -24,12 +24,18 @@ offset d < gcd(a, b): (x[t mod a], y[(t+d) mod b]) for t < lcm(a, b).  The
 orbit is G3 when b = 1.  When y is x, d = 0 is the diagonal and is skipped,
 d = a/2 is the only self-mirrored orbit (S2^1 when a = 2, G1 otherwise), and
 the others are G2.  Pairs whose first coordinate is fixed are S1.
+
+So the census and the sizes of S1, S2^1 and S2^2 need only the number c_a of
+cycles of each length a, and ``decompose`` costs O(n + L^2) for L distinct
+cycle lengths; the pair sets themselves are built on first access.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -42,9 +48,10 @@ EXACT_COUNT_LIMIT = 170
 # Log-domain m_alpha drops the terms past the first one this far below the peak.
 _LOG_TAIL_CUT = 80.0
 
-# decompose materializes all n*(n-1) ordered pairs, about 73 bytes each
-# (peak RSS growth at n = 3000 on CPython 3.11, 64-bit), so the largest
-# allowed call (n = 4472) needs about 1.5 GB.
+# The pair sets of a decomposition (s1, s21, cycles) hold all n*(n-1) ordered
+# pairs between them, about 73 bytes each (peak RSS growth at n = 3000 on
+# CPython 3.11, 64-bit), so the largest one allowed (n = 4472) needs about
+# 1.5 GB.  The census needs none of them and has no limit.
 _DECOMPOSE_PAIR_LIMIT = 20_000_000
 
 
@@ -248,79 +255,118 @@ class CycleDecomposition:
     """S1 / S2^1 / S2^2 split of the ordered pairs, with the orbit census.
 
     ``census`` maps each orbit size k to the triple (l_k, m_k, n_k): the
-    number of size-k orbits of groups G1, G2 and G3 respectively.
+    number of size-k orbits of groups G1, G2 and G3 respectively.  It and the
+    part sizes come from ``p_cycles``, the cycles of p in walk order.  The
+    pair sets ``s1``, ``s21`` and ``cycles`` are built on first access and
+    raise ``CapacityError`` when n(n-1) exceeds the pair limit.
     """
 
     n: int
     eps: float
-    s1: tuple[tuple[int, int], ...]
-    s21: tuple[tuple[int, int], ...]
-    cycles: tuple[PairCycle, ...]
     census: dict[int, tuple[int, int, int]]
+    p_cycles: tuple[tuple[int, ...], ...]
+
+    @property
+    def s1_size(self) -> int:
+        return sum(len(x) == 1 for x in self.p_cycles) * (self.n - 1)
+
+    @property
+    def s21_size(self) -> int:
+        return 2 * sum(len(x) == 2 for x in self.p_cycles)
 
     @property
     def s22_size(self) -> int:
-        return sum(c.size for c in self.cycles)
+        return self.n * (self.n - 1) - self.s1_size - self.s21_size
+
+    def _check_pair_limit(self) -> None:
+        if self.n * (self.n - 1) > _DECOMPOSE_PAIR_LIMIT:
+            raise CapacityError(f"the pair sets hold n*(n-1) pairs; n={self.n} is too large")
+
+    @cached_property
+    def s1(self) -> tuple[tuple[int, int], ...]:
+        self._check_pair_limit()
+        fixed = [x[0] for x in self.p_cycles if len(x) == 1]
+        return tuple((i, j) for i in fixed for j in range(self.n) if j != i)
+
+    @cached_property
+    def s21(self) -> tuple[tuple[int, int], ...]:
+        self._check_pair_limit()
+        return tuple(pair for x in self.p_cycles if len(x) == 2 for pair in (x, x[::-1]))
+
+    @cached_property
+    def cycles(self) -> tuple[PairCycle, ...]:
+        """The S2^2 orbits, each with its pairs in p-order (module docstring)."""
+        self._check_pair_limit()
+        orbits: list[PairCycle] = []
+        for x in self.p_cycles:
+            a = len(x)
+            if a == 1:
+                continue
+            for y in self.p_cycles:
+                b = len(y)
+                if y is x and a == 2:
+                    continue  # the 2-cycle's own pairs are S2^1
+                size = math.lcm(a, b)
+                for d in range(1 if y is x else 0, math.gcd(a, b)):
+                    pairs = tuple(zip(x * (size // a), (y[d:] + y[:d]) * (size // b)))
+                    slot = 2 if b == 1 else 0 if y is x and 2 * d == a else 1
+                    orbits.append(PairCycle(_GROUPS[slot], pairs))
+        return tuple(orbits)
 
 
-def _cycles(p: list[int]) -> list[list[int]]:
+def _cycles(p: list[int]) -> list[tuple[int, ...]]:
     """The cycles of p, each listed in walk order i, p(i), p(p(i)), ..."""
-    seen = [False] * len(p)
+    seen = bytearray(len(p))
     cycles = []
     for start in range(len(p)):
+        if seen[start]:
+            continue
         cycle = []
         i = start
         while not seen[i]:
-            seen[i] = True
+            seen[i] = 1
             cycle.append(i)
             i = p[i]
-        if cycle:
-            cycles.append(cycle)
+        cycles.append(tuple(cycle))
     return cycles
 
 
 def decompose(pi: Permutation, pi_star: Permutation) -> CycleDecomposition:
     """Decompose the ordered pairs under p = pi o pi_star^{-1}.
 
-    The orbits are built from the cycles of p (see the module docstring),
-    each with its pairs in p-order.  The output holds all n(n-1) pairs, so
-    cost and memory are Theta(n^2); intended for analysis at modest n.
+    The census is the closed form of the module docstring over the cycle
+    lengths of p: c_a c_b ordered pairs of distinct cycles of lengths a >= 2
+    and b (c_a (c_a - 1) when a = b) give gcd(a, b) orbits of size lcm(a, b)
+    each, and every cycle of length a > 2 adds its own a - 1 offsets.  The
+    cost is one walk over p plus O(L^2) for L distinct lengths, at any n;
+    the pair sets are built only when read, under the pair limit.
     """
     if len(pi) != len(pi_star):
         raise ParameterError("decompose needs permutations of equal length")
     n = len(pi)
-    if n * (n - 1) > _DECOMPOSE_PAIR_LIMIT:
-        raise CapacityError(f"decompose materializes n*(n-1) pairs; n={n} is too large")
     cycles = _cycles(pi.compose(pi_star.inverse()).as_array().tolist())
-    fixed = [x[0] for x in cycles if len(x) == 1]
+    counts = Counter(len(x) for x in cycles)
 
-    s1 = tuple((i, j) for i in fixed for j in range(n) if j != i)
-    s21: list[tuple[int, int]] = []
-    orbits: list[PairCycle] = []
     census: dict[int, list[int]] = {}
-    for x in cycles:
-        a = len(x)
+    for a, c_a in counts.items():
         if a == 1:
             continue
-        for y in cycles:
-            b = len(y)
-            size = math.lcm(a, b)
-            for d in range(1 if y is x else 0, math.gcd(a, b)):
-                pairs = tuple(zip(x * (size // a), (y[d:] + y[:d]) * (size // b)))
-                if y is x and a == 2:
-                    s21.extend(pairs)
-                    continue
-                slot = 2 if b == 1 else 0 if y is x and 2 * d == a else 1
-                orbits.append(PairCycle(_GROUPS[slot], pairs))
-                census.setdefault(size, [0, 0, 0])[slot] += 1
+        for b, c_b in counts.items():
+            pairs = c_a * c_b - (c_a if b == a else 0)
+            if pairs:
+                slot = 2 if b == 1 else 1
+                census.setdefault(math.lcm(a, b), [0, 0, 0])[slot] += pairs * math.gcd(a, b)
+        if a > 2:
+            mirror = int(a % 2 == 0)
+            triple = census.setdefault(a, [0, 0, 0])
+            triple[0] += c_a * mirror
+            triple[1] += c_a * (a - 1 - mirror)
 
     return CycleDecomposition(
         n=n,
-        eps=len(fixed) / n,
-        s1=s1,
-        s21=tuple(s21),
-        cycles=tuple(orbits),
+        eps=counts[1] / n,
         census={k: tuple(v) for k, v in sorted(census.items())},
+        p_cycles=tuple(cycles),
     )
 
 

@@ -252,13 +252,20 @@ class RecoveryConditions:
         )
 
 
+def _check_given_exponents(beta: float | None, gamma: float | None) -> None:
+    """check_exponents for the bounds that use beta and gamma: both must be given."""
+    if beta is None or gamma is None:
+        raise ParameterError("beta and gamma are both required here")
+    check_exponents(beta, gamma)
+
+
 def recovery_conditions(
     n: int, q: float, s: float, alpha: float, beta: float, gamma: float
 ) -> RecoveryConditions:
     """Evaluate the four sufficient conditions literally, with margins."""
     params = ModelParams(n, q, s)
     check_alpha(alpha)
-    check_exponents(beta, gamma)
+    _check_given_exponents(beta, gamma)
     nqs = params.nqs
     threshold = max(
         20.0,
@@ -365,7 +372,7 @@ def good_prob_bound(
     """Bound e^{n(1-alpha)/16} * zeta^{n(1-alpha) n p11 / 8} on P(pi good)."""
     params = ModelParams(n, q, s)
     check_alpha(alpha)
-    check_exponents(beta, gamma)
+    _check_given_exponents(beta, gamma)
     p11 = q * s
     if p11 <= 0.0:
         raise ParameterError("good_prob_bound needs p11 = q*s > 0")

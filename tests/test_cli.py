@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from align_lab import ModelParams, Permutation, generate, harness, make_rng
+from align_lab import CapacityError, ModelParams, Permutation, decompose, generate, harness, make_rng
 from align_lab.cli import main
 from align_lab.perms import _DECOMPOSE_PAIR_LIMIT
 from align_lab.storage import read_instance, write_instance, write_permutation
@@ -305,28 +305,51 @@ def test_run_over_budget_exits_before_any_trial(tmp_path, capsys, monkeypatch):
     assert drawn == [] and not out.exists()
 
 
-@pytest.mark.parametrize("output", ["", "blocker/run.csv"], ids=["empty", "under-a-file"])
+@pytest.mark.parametrize(
+    "output", ["", "blocker/run.csv", "outdir", "sidecar.csv"],
+    ids=["empty", "under-a-file", "a-directory", "sidecar-a-directory"],
+)
 def test_run_bad_output_exits_before_any_trial(output, tmp_path, capsys, monkeypatch):
     drawn = []
     monkeypatch.setattr(harness, "generate", lambda *args: drawn.append(args))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "blocker").write_text("a file, not a directory\n")
+    (tmp_path / "outdir").mkdir()
+    (tmp_path / "sidecar.csv.json").mkdir()
     cfg = _file(tmp_path, "out.cfg", _RUN_HEAD + f"output = {output}\n")
     assert main(["run", "--config", cfg]) == 2
     assert "validation error:" in capsys.readouterr().err
     assert drawn == []
 
 
-def test_decompose_capacity_exit_code(tmp_path, capsys):
-    # identity pair at the smallest n whose n(n-1) pairs exceed the limit
+def _smallest_n_over_pair_limit() -> int:
     n = math.isqrt(_DECOMPOSE_PAIR_LIMIT) + 1
     n += n * (n - 1) <= _DECOMPOSE_PAIR_LIMIT
     assert n * (n - 1) > _DECOMPOSE_PAIR_LIMIT >= (n - 1) * (n - 2)
+    return n
+
+
+def test_decompose_cli_has_no_pair_limit(tmp_path, capsys):
+    # identity pair at the smallest n whose n(n-1) pairs exceed the limit:
+    # the subcommand reads only the closed-form census and sizes
+    n = _smallest_n_over_pair_limit()
     pi_path = tmp_path / "id.perm"
     write_permutation(Permutation.identity(n), pi_path)
     rc = main(["decompose", "--pi", str(pi_path), "--pistar", str(pi_path)])
-    assert rc == 3
-    assert "capacity error" in capsys.readouterr().err
+    assert rc == 0
+    payload = _json_out(capsys)
+    assert payload["eps"] == 1.0 and payload["s1_size"] == n * (n - 1)
+    assert payload["s21_size"] == 0 and payload["cycles"] == []
+
+
+@pytest.mark.parametrize("pair_set", ["s1", "s21", "cycles"])
+def test_decompose_pair_sets_raise_capacity_error(pair_set):
+    n = _smallest_n_over_pair_limit()
+    pi = Permutation.identity(n)
+    dec = decompose(pi, pi)
+    assert dec.census == {} and dec.s1_size == n * (n - 1)
+    with pytest.raises(CapacityError):
+        getattr(dec, pair_set)
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from align_lab import (
     overlap,
     rencontres,
 )
-from align_lab.perms import ceil_snap
+from align_lab.perms import ceil_snap, census_rows
 
 
 # -- Permutation basics -------------------------------------------------------
@@ -281,6 +282,34 @@ def test_decompose_invariants_random():
 def test_decompose_length_mismatch():
     with pytest.raises(ParameterError):
         decompose(Permutation.identity(3), Permutation.identity(4))
+
+
+def test_decompose_census_memory_per_node():
+    # the census and sizes come from the cycle lengths; building the pair
+    # sets would take about 64 KB per node at n = 1000
+    rng = make_rng(21)
+    n = 1000
+    pi, pi_star = Permutation.random(n, rng), Permutation.random(n, rng)
+    tracemalloc.start()
+    try:
+        dec = decompose(pi, pi_star)
+        census = census_rows(dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert census and dec.s1_size + dec.s21_size + dec.s22_size == n * (n - 1)
+    assert peak <= 256 * n
+
+
+def test_decompose_census_of_many_two_cycles():
+    # C = n/2 two-cycles: C(C-1) ordered pairs of distinct cycles, each with
+    # 2 orbits of size 2 (G2); counting by cycle pair would take 1e10 steps
+    n = 200_000
+    c = n // 2
+    image = [i + 1 if i % 2 == 0 else i - 1 for i in range(n)]
+    dec = decompose(Permutation(image), Permutation.identity(n))
+    assert dec.census == {2: (0, 2 * c * (c - 1), 0)}
+    assert dec.s21_size == n and dec.s1_size == 0 and dec.eps == 0.0
 
 
 def _walk_decomposition(pi, pi_star):

@@ -524,6 +524,13 @@ def test_exponent_bounds_reject_nan(bound, beta, gamma):
         bound(20000, 0.013, 0.5, 0.5, beta, gamma)
 
 
+@pytest.mark.parametrize("bound", [recovery_conditions, good_prob_bound])
+@pytest.mark.parametrize("beta, gamma", [(None, None), (0.4, None), (None, 0.4)])
+def test_exponent_bounds_need_both_exponents(bound, beta, gamma):
+    with pytest.raises(ParameterError):
+        bound(200, 0.05, 0.5, 0.4, beta, gamma)
+
+
 @pytest.mark.parametrize("beta, gamma", [(math.inf, 0.3), (0.3, math.inf)])
 def test_theory_report_rejects_non_finite_exponents(beta, gamma):
     with pytest.raises(ParameterError, match="finite and positive"):
