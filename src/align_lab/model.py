@@ -339,6 +339,8 @@ def _er_edge_slots(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     last = -1
     while last < total:
         positions = rng.geometric(p, size=batch)  # int64 gaps, summed in place
+        # a gap past total ends the draw; clipping it keeps the cumsum in int64
+        np.minimum(positions, total + 1, out=positions)
         positions[0] += last
         np.cumsum(positions, out=positions)
         chunks.append(positions)

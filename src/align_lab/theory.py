@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import AlignLabError, NoRootError, ParameterError
+from .errors import NoRootError, ParameterError
 from .model import ModelParams, check_alpha, check_exponents, dist_p, dist_q, kl_divergence
 from .perms import ceil_snap, m_alpha
 
@@ -128,42 +128,28 @@ def c_k(k: float) -> CkResult:
 def mu_k(k: float, lam: float) -> float:
     """Largest root of f(mu) = mu - lam * psi_{k-1}(mu), for lam > c_k(k).
 
-    Scans downward from mu = lam in steps of lam/1000 for the topmost sign
-    change, then bisects the bracketing cell; a golden-section fallback
-    handles a dip narrower than the scan step.
+    The root lies in [m, lam] for m = c_k(k).argmin: c_k(k).value is
+    m / psi_{k-1}(m) as computed, so lam > c_k(k).value gives f(m) <= 0 (up
+    to one rounding), while f(lam) > 0 unless lam itself is the root.  Scans
+    downward from lam in steps of lam/1000, never below m, for the topmost
+    sign change, then bisects the bracketing cell.
     """
-    threshold = c_k(k).value
-    if not (math.isfinite(lam) and lam > threshold):
-        raise NoRootError(f"lam must exceed c_k(k)={threshold:.6g}, got {lam}")
+    ck = c_k(k)
+    if not (math.isfinite(lam) and lam > ck.value):
+        raise NoRootError(f"lam must exceed c_k(k)={ck.value:.6g}, got {lam}")
 
     def f(mu: float) -> float:
         return mu - lam * psi(k - 1, mu)
 
-    step = lam / 1000.0
-    hi = lam
-    f_hi = f(hi)
-    if f_hi <= 0.0:
+    if f(lam) <= 0.0:
         # psi_{k-1}(lam) rounds to 1: lam is the largest root to double precision
         return lam
-    lo = None
-    mu = hi - step
-    while mu > 0.0:
-        f_mu = f(mu)
-        if f_mu <= 0.0:
-            lo = mu
-            break
-        hi, f_hi = mu, f_mu
-        mu -= step
-    if lo is None:
-        # dip narrower than the scan step: locate it around the scan minimum
-        x, fx = _golden_min(f, step * 1e-3, lam, 1e-12)
-        if fx > 0.0:
-            raise NoRootError(f"no root found below lam={lam} despite lam > c_k")
-        lo = x
-        hi = min(lam, x + step)
-        f_hi = f(hi)
-    if f_hi <= 0.0:
-        raise AlignLabError("bracketing failed: f must be positive at the top end")
+    # hi ends on the lowest scan point with f > 0; lo is the next one, or m
+    # (also where f(m) rounds to +1 ulp)
+    step, hi, m = lam / 1000.0, lam, ck.argmin
+    while hi - step > m and f(hi - step) > 0.0:
+        hi -= step
+    lo = max(m, hi - step)
 
     xtol = 1e-12 * max(1.0, lam)
     for _ in range(200):
@@ -310,10 +296,8 @@ def mgf_zk(k_pairs: int, t: float, params: ModelParams) -> float:
     # A zero coefficient drops its term exactly, also where e^t - 1 overflows.
     trace = p11 * x + 1.0 if p11 else 1.0
     det = sigma2 * x if sigma2 else 0.0
-    disc = trace * trace - 4.0 * det
-    if disc <= 0.0:
-        raise AlignLabError(f"discriminant must be positive, got {disc}")
-    root = math.sqrt(disc)
+    # T^2 - 4D = (p11*x - 1)^2 + 4*q^2*x >= 0; a negative value is rounding
+    root = math.sqrt(max(trace * trace - 4.0 * det, 0.0))
     lam1 = (trace + root) / 2.0
     lam2 = (trace - root) / 2.0
     try:
@@ -342,13 +326,15 @@ def chernoff_zeta(tau: float, q1: float, q2: float) -> ZetaResult:
         raise ParameterError(f"q1 must be nonnegative, got {q1}")
     if not (math.isfinite(q2) and q2 > 0.0):
         raise ParameterError(f"q2 must be positive (degenerate linear case rejected), got {q2}")
-    z_star = 2.0 * tau / (q1 + math.sqrt(q1 * q1 + 8.0 * tau * q2))
-    residual = 2.0 * q2 * z_star * z_star + q1 * z_star - tau
-    if abs(residual) > 1e-9 * max(1.0, tau):
-        raise AlignLabError(f"minimizer residual too large: {residual}")
-    if z_star * z_star > tau / (2.0 * q2) * (1.0 + 1e-12):
-        raise AlignLabError("minimizer exceeded its square bound tau/(2*q2)")
+    denom = q1 + math.sqrt(q1 * q1 + 8.0 * tau * q2)
+    z_star = 2.0 * tau / denom if denom > 0.0 else math.inf
+    quad = 2.0 * q2 * z_star * z_star
     zeta = max(math.sqrt(2.0) * math.e * q1 / tau, 4.0 * math.e * math.sqrt(q2 / tau))
+    # z* solves 2*q2*z^2 + q1*z = tau: a miss, a NaN or an infinite zeta means a
+    # term left double range
+    z_ok = abs(quad + q1 * z_star - tau) <= 1e-9 * tau and quad <= tau * (1.0 + 1e-12)
+    if not (z_ok and zeta < math.inf):
+        raise ParameterError(f"zeta or z* leaves double range at tau={tau}, q1={q1}, q2={q2}")
     return ZetaResult(zeta=zeta, z_star=z_star)
 
 

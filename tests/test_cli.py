@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from align_lab import CapacityError, ModelParams, Permutation, decompose, generate, harness, make_rng
 from align_lab.cli import main
@@ -281,6 +285,52 @@ def test_validation_exit_code(case, tmp_path, capsys, monkeypatch):
     rc = main(VALIDATION_CASES[case](tmp_path))
     assert rc == 2
     assert "validation error:" in capsys.readouterr().err
+
+
+def _log_uniform(lo: float, hi: float):
+    """Floats spread evenly over the decades from lo to hi."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+def _argv(name: str, *flags: str):
+    """Builds the argv ``name --flag value ...`` from one value per flag."""
+    return lambda *values: [name, *(x for f, v in zip(flags, values) for x in (f, repr(v)))]
+
+
+_HUGE = _log_uniform(1e-300, 1e300)
+_UNIT = _log_uniform(1e-300, 1.0)
+_K = _log_uniform(3.0, 60.0) | _log_uniform(1e-3, 3.0)  # c_k takes about 0.1 s at k = 60
+_N = _log_uniform(2.0, 1e6).map(int)
+
+THEORY_ARGV = st.one_of(
+    st.builds(_argv("psi", "--j", "--mu"), _log_uniform(1e-3, 3e5), _HUGE),
+    st.builds(_argv("ck", "--k"), _K),
+    st.builds(_argv("muk", "--k", "--lam"), _K, _HUGE | _log_uniform(1.0, 1e3)),
+    st.builds(
+        _argv("mgf", "--k-pairs", "--t", "--q", "--s"),
+        _log_uniform(1.0, 1e6).map(int), _HUGE, _UNIT, _UNIT,
+    ),
+    st.builds(_argv("zeta", "--tau", "--q1", "--q2"), _HUGE, st.just(0.0) | _HUGE, _HUGE),
+    st.builds(_argv("fano", "--n", "--q", "--s", "--alpha"), _N, _UNIT, _UNIT, _UNIT),
+    st.builds(
+        _argv("theory", "--n", "--q", "--s", "--alpha", "--beta", "--gamma"),
+        _N, _UNIT, _UNIT, _UNIT, _HUGE, _HUGE,
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(THEORY_ARGV)
+# c_50 = 64.17138310308327: a root exists just above it
+@example(["muk", "--k", "50", "--lam", "64.17138316725466"])
+# T^2 - 4D rounds to 0 where it is (p11*x - 1)^2 + 4*q^2*x, both terms ~0
+@example(["mgf", "--k-pairs", "1", "--t", "46.051701859880716", "--q", "1e-20", "--s", "1"])
+# q1^2 overflows a double
+@example(["zeta", "--tau", "1", "--q1", "1e200", "--q2", "1"])
+def test_theory_commands_never_raise(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    assert rc in (0, 2)
 
 
 def test_capacity_exit_code(capsys):

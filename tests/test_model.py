@@ -279,6 +279,13 @@ def test_generate_requires_positive_q():
         generate(ModelParams(10, 0.0, 0.5), seed=1)
 
 
+@pytest.mark.parametrize("q", [1e-17, 1e-19, 1e-30, 1e-300])
+def test_generate_at_tiny_q_gives_empty_graphs(q):
+    # geometric gaps saturate at 2^63 - 1 below p ~ 1e-16; their sum must not wrap
+    inst = generate(ModelParams(10, q, 0.5), seed=1)
+    assert inst.g_a.num_edges == 0 and inst.g_b.num_edges == 0
+
+
 def test_generate_capacity_guard():
     with pytest.raises(CapacityError):
         generate(ModelParams(100_000, 0.4, 0.5), seed=1)

@@ -176,6 +176,24 @@ def test_mu_k_matches_mpmath_root_past_the_tail_cutoff(k, lam):
     assert mu_k(k, lam) == pytest.approx(float(root), rel=1e-12)
 
 
+@pytest.mark.parametrize("eps", [1e-3, 1e-9, 1e-12, 1e-15])
+@pytest.mark.parametrize("k", [3, 10, 50, 200])
+def test_mu_k_just_above_threshold(k, eps):
+    # lam = c_k(1 + eps) puts the largest root within about sqrt(eps) of the
+    # argmin m, where f(m) = -eps * m
+    ck = c_k(k)
+    lam = ck.value * (1 + eps)
+    root = mu_k(k, lam)
+    assert ck.argmin <= root <= lam
+
+    def f(mu):
+        return mu - lam * psi(k - 1, mu)
+
+    assert abs(f(root)) <= 1e-12 * lam
+    if eps >= 1e-12:  # at 1e-15, f stays within its rounding over the +-1e-9*lam window
+        assert f(root - 1e-9 * lam) <= 0.0 < f(root + 1e-9 * lam)
+
+
 def test_mu_k_below_threshold_raises():
     with pytest.raises(NoRootError):
         mu_k(3, 3.0)  # c_3 ~ 3.35
@@ -354,6 +372,12 @@ def test_mgf_matches_enumeration():
                 )
 
 
+def test_mgf_at_zero_discriminant():
+    # T^2 - 4D = (p11*x - 1)^2 + 4*q^2*x rounds to 0 at x = 1e20, q = 1e-20, s = 1
+    value = mgf_zk(1, 46.051701859880716, ModelParams(2, 1e-20, 1.0))
+    assert value == pytest.approx(2.0, rel=1e-12)
+
+
 def test_mgf_validation():
     params = ModelParams(8, 0.2, 0.6)
     with pytest.raises(ParameterError):
@@ -397,6 +421,21 @@ def test_zeta_minimizer_and_bound_property():
         assert f_star <= res.zeta**tau
         assert abs(2 * q2 * res.z_star**2 + q1 * res.z_star - tau) <= 1e-9 * max(1.0, tau)
         assert res.z_star**2 <= tau / (2 * q2) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "tau, q1, q2",
+    [
+        (1.0, 1e200, 1.0),  # q1^2 overflows
+        (1e-10, 1e160, 1.0),  # q1^2 overflows: z* reads 0, not 1e-170
+        (1e308, 1.0, 1.0),  # 2*tau and 8*tau*q2 overflow: z* is NaN
+        (1e-300, 0.0, 1e-300),  # 8*tau*q2 underflows to 0: z* divides by 0
+        (1e-300, 0.0, 1e300),  # q2/tau overflows: zeta is inf
+    ],
+)
+def test_zeta_outside_double_range_raises(tau, q1, q2):
+    with pytest.raises(ParameterError, match="tau=.*q1=.*q2="):
+        chernoff_zeta(tau, q1, q2)
 
 
 def test_zeta_degenerate_quadratic():
