@@ -14,8 +14,11 @@ Conventions used throughout the package:
   bound evaluators.  ``generate`` additionally requires q > 0.
 - Node labels are 0-indexed everywhere, in memory and on disk.
 - All randomness flows through a numpy ``Generator`` backed by the PCG64
-  bit generator (stream stability guaranteed by numpy's RNG policy), created
-  from an explicit 64-bit seed via :func:`make_rng`.
+  bit generator, created from an explicit 64-bit seed via :func:`make_rng`.
+  numpy's policy (NEP 19) keeps the bit generator's stream fixed across
+  releases, but not the ``Generator`` distributions drawn from it.
+  Instances are pinned for numpy 2.4.6 by ``tests/test_instance_digests.py``
+  and by the gap-draw equivalence test in ``tests/test_model.py``.
 
 A draw consumes random variates in a fixed, documented order: parent edge
 slots (geometric skipping), retention coins for copy A, retention coins for
@@ -27,14 +30,23 @@ sorted edge keys ``u*n + v`` that ``Graph`` stores, the retention coins
 select the keys of A and of B' from them, and B is B' relabeled through the
 permutation.
 
-The generator and the relabel decode sorted keys by row runs, not per key:
-one ``searchsorted`` over the n + 1 row boundaries gives the number of keys
-in each row, and ``repeat`` of a per-row value over those counts gives the
-row's share of every key.  Slots become keys by adding ``(i+1)(i+2)/2`` to
-the slots of row i, and a key's lower endpoint u is its row, the upper
-endpoint v its key minus ``u*n``.  ``degrees``, ``edges`` and ``neighbors``
-keep the per-key ``divmod``: on the small graphs of the exhaustive search
-its one call costs less than the runs' several.
+The O(m) passes of a draw work through their arrays in blocks of
+``_BLOCK`` elements, so their temporaries stay in cache.  Below p = 1/3
+numpy draws a geometric variate as ``ceil(E / -log1p(-p))`` of one standard
+exponential E, so a block of gaps is a block of exponentials divided,
+rounded up and clipped; at and above it ``rng.geometric`` is called on the
+block.  The coins are a block of uniforms compared with s.  Blocks read the
+stream in the same order as whole-array draws, so the variates are the same.
+
+The slot-to-key map and the relabel decode each block of sorted entries by
+row runs: the block's first and last entry give its rows, one
+``searchsorted`` over their boundaries gives the entries in each row, and
+``repeat`` of a per-row value over those counts gives the row's share of
+every entry.  Slots become keys by adding ``(i+1)(i+2)/2`` to the slots of
+row i, and a key's lower endpoint u is its row, the upper endpoint v its
+key minus ``u*n``.  ``degrees``, ``edges`` and ``neighbors`` keep the
+per-key ``divmod``: on the small graphs of the exhaustive search its one
+call costs less than the runs' several.
 """
 
 from __future__ import annotations
@@ -50,7 +62,19 @@ from .perms import Permutation
 # Refuse to materialize parent graphs whose expected edge count exceeds this.
 MAX_PARENT_EDGES = 200_000_000
 
+# Refuse more nodes than this: generate also holds O(n) arrays, and C(n, 2)
+# must stay below 2**53 for the float clip of the geometric gaps.
+MAX_NODES = 10**8
+
 _GEOM_BATCH_MIN = 1024
+
+# numpy's Generator.geometric inverts an exponential below this p and searches
+# at and above it.
+_GEOM_SEARCH_MIN_P = 0.3333333333333333
+
+# Elements per block of the O(m) passes over slots, coins and keys, so that
+# each pass's temporaries stay in cache.
+_BLOCK = 1 << 15
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -299,14 +323,20 @@ class Graph:
         if len(pi) != self.n:
             raise ParameterError(f"relabeling must be a bijection on the {self.n} nodes")
         image = pi.as_array()
-        row_keys = np.arange(0, (self.n + 1) * self.n, self.n, dtype=np.int64)
-        counts = _run_lengths(self._keys, row_keys)
-        v = image[self._keys - row_keys[:-1].repeat(counts)]
-        u = image.repeat(counts)
-        keys = np.minimum(u, v)
-        np.maximum(u, v, out=u)
-        keys *= self.n
-        keys += u
+        n = self.n
+        keys = np.empty_like(self._keys)
+        for begin in range(0, keys.size, _BLOCK):
+            block = self._keys[begin : begin + _BLOCK]
+            first, end = int(block[0]) // n, int(block[-1]) // n + 1
+            row_keys = np.arange(first * n, (end + 1) * n, n, dtype=np.int64)
+            counts = _run_lengths(block, row_keys)
+            v = image[block - row_keys[:-1].repeat(counts)]
+            u = image[first:end].repeat(counts)
+            out = keys[begin : begin + _BLOCK]
+            np.minimum(u, v, out=out)
+            np.maximum(u, v, out=u)
+            out *= n
+            out += u
         return keys
 
     def __eq__(self, other: object) -> bool:
@@ -327,7 +357,8 @@ def _er_edge_slots(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     Slots enumerate the upper triangle row-major: (0,1),...,(0,n-1),(1,2),...
     Sampling skips between occupied slots with geometric gaps, so the cost is
     O(m) rather than O(n^2).  Batch sizes depend only on (n, p) and the drawn
-    values, keeping the consumed stream deterministic.
+    values, keeping the consumed stream deterministic.  C(n, 2) must stay
+    below 2**53 (``MAX_NODES``), the bound ``_geometric_gaps`` needs.
     """
     total = n * (n - 1) // 2
     if p >= 1.0:
@@ -338,15 +369,56 @@ def _er_edge_slots(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     chunks = []
     last = -1
     while last < total:
-        positions = rng.geometric(p, size=batch)  # int64 gaps, summed in place
+        positions = np.empty(batch, dtype=np.int64)
         # a gap past total ends the draw; clipping it keeps the cumsum in int64
-        np.minimum(positions, total + 1, out=positions)
-        positions[0] += last
-        np.cumsum(positions, out=positions)
+        for start in range(0, batch, _BLOCK):
+            gaps = _geometric_gaps(rng, p, positions[start : start + _BLOCK], total + 1)
+            gaps[0] += last
+            np.cumsum(gaps, out=gaps)
+            last = int(gaps[-1])
         chunks.append(positions)
-        last = int(positions[-1])
     slots = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     return slots[: np.searchsorted(slots, total)]
+
+
+def _geometric_gaps(rng: np.random.Generator, p: float, out: np.ndarray, cap: int) -> np.ndarray:
+    """Fill ``out`` with ``np.minimum(rng.geometric(p, out.size), cap)``, block
+    by block; returns ``out``.
+
+    Below ``_GEOM_SEARCH_MIN_P`` numpy draws each variate as
+    ``ceil(E / -log1p(-p))`` from one standard exponential E, saturating at
+    2**63 - 1; the same quotient over a block of exponentials gives the same
+    variates and leaves the generator in the same state.  At and above it
+    numpy searches, and ``rng.geometric`` is called as is.  ``cap`` must lie
+    below 2**53, so the clip in float is exact and precedes the int64 cast.
+    """
+    draws = np.empty(min(out.size, _BLOCK))
+    scale = -math.log1p(-p)
+    for start in range(0, out.size, _BLOCK):
+        chunk = out[start : start + _BLOCK]
+        if p >= _GEOM_SEARCH_MIN_P:
+            np.minimum(rng.geometric(p, size=chunk.size), cap, out=chunk)
+            continue
+        e = draws[: chunk.size]
+        rng.standard_exponential(out=e)
+        with np.errstate(over="ignore"):  # a subnormal p overflows to inf, clipped below
+            e /= scale
+        np.ceil(e, out=e)
+        np.minimum(e, cap, out=e)
+        chunk[...] = e
+    return out
+
+
+def _coins(rng: np.random.Generator, size: int, s: float) -> np.ndarray:
+    """``rng.random(size) < s``, drawn block by block into the bool mask."""
+    keep = np.empty(size, dtype=bool)
+    draws = np.empty(min(size, _BLOCK))
+    for start in range(0, size, _BLOCK):
+        chunk = keep[start : start + _BLOCK]
+        u = draws[: chunk.size]
+        rng.random(out=u)
+        np.less(u, s, out=chunk)
+    return keep
 
 
 def _run_lengths(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
@@ -360,14 +432,17 @@ def _slots_to_keys(slots: np.ndarray, n: int) -> np.ndarray:
     i*n + j, i < j, in place; returns ``slots``.
 
     Row i starts at slot i*n - i(i+1)/2, so slot t of row i has key
-    t + (i+1)(i+2)/2: sorted unique slots give sorted unique keys.  The
-    slots of each row are one run, found by one ``searchsorted`` over the
-    n + 1 row starts (the last is the slot count C(n, 2)); every slot must
-    lie below it.
+    t + (i+1)(i+2)/2: sorted unique slots give sorted unique keys.  Every
+    slot must lie below the slot count C(n, 2), the start of row n.
     """
     rows = np.arange(n + 1, dtype=np.int64)
     tri = rows.cumsum()
-    slots += tri[1:].repeat(_run_lengths(slots, rows * n - tri))
+    starts = rows * n - tri
+    for begin in range(0, slots.size, _BLOCK):
+        block = slots[begin : begin + _BLOCK]
+        first = int(starts.searchsorted(block[0], side="right")) - 1
+        end = int(starts.searchsorted(block[-1], side="right"))
+        block += tri[first + 1 : end + 1].repeat(_run_lengths(block, starts[first : end + 1]))
     return slots
 
 
@@ -387,7 +462,10 @@ class CorrelatedInstance:
 
 
 def check_parent_budget(params: ModelParams) -> None:
-    """Raise CapacityError if the expected parent edge count exceeds the budget."""
+    """Raise CapacityError if the node count or the expected parent edge
+    count exceeds its budget."""
+    if params.n > MAX_NODES:
+        raise CapacityError(f"n = {params.n} exceeds the node limit {MAX_NODES}")
     expected = math.comb(params.n, 2) * params.parent_p
     if expected > MAX_PARENT_EDGES:
         raise CapacityError(
@@ -407,12 +485,12 @@ def generate(params: ModelParams, seed: int) -> CorrelatedInstance:
     n = params.n
     rng = make_rng(seed)
     keys = _slots_to_keys(_er_edge_slots(n, params.parent_p, rng), n)
-    keep_a = rng.random(keys.size) < params.s
-    keep_b = rng.random(keys.size) < params.s
+    keep_a = _coins(rng, keys.size, params.s)
+    keep_b = _coins(rng, keys.size, params.s)
     pi_star = Permutation(rng.permutation(n))
     g_a = Graph(n, keys.compress(keep_a))
     b_prime = Graph(n, keys.compress(keep_b))
-    # free the parent before the relabel, which holds three arrays of B's size
+    # free the parent before the relabel, which holds two arrays of B's size
     del keys, keep_a, keep_b
     g_b = b_prime.relabeled(pi_star)
     return CorrelatedInstance(g_a=g_a, g_b=g_b, pi_star=pi_star, params=params, seed=seed)

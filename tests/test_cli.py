@@ -12,7 +12,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from align_lab import CapacityError, ModelParams, Permutation, decompose, generate, harness, make_rng
+from align_lab import (
+    CapacityError,
+    ModelParams,
+    Permutation,
+    decompose,
+    generate,
+    harness,
+    make_rng,
+    model,
+)
 from align_lab.cli import main
 from align_lab.perms import _DECOMPOSE_PAIR_LIMIT
 from align_lab.storage import read_instance, write_instance, write_permutation
@@ -339,6 +348,26 @@ def test_capacity_exit_code(capsys):
     )
     assert rc == 3
     assert "capacity error" in capsys.readouterr().err
+
+
+def test_node_cap_exits_before_any_draw(tmp_path, capsys, monkeypatch):
+    # about 1e6 expected parent edges, within the edge budget; the node cap stops both
+    drawn = []
+    monkeypatch.setattr(model, "make_rng", lambda *args: drawn.append(args))
+    monkeypatch.setattr(harness, "generate", lambda *args: drawn.append(args))
+    n = str(model.MAX_NODES + 1)
+    gen = ["gen", "--n", n, "--q", "1e-10", "--s", "0.5", "--seed", "1", "--out", str(tmp_path / "g")]
+    assert main(gen) == 3
+    assert "node limit" in capsys.readouterr().err
+    out = tmp_path / "nodes.csv"
+    cfg = _file(
+        tmp_path, "nodes.cfg",
+        f"mode = pistar-good\nn = 2000, {n}\nq = 1e-10\ns = 0.5\nalpha = 0.4\n"
+        f"trials = 1\noutput = {out}\n",
+    )
+    assert main(["run", "--config", cfg]) == 3
+    assert "node limit" in capsys.readouterr().err
+    assert drawn == [] and not out.exists() and not (tmp_path / "g").exists()
 
 
 def test_run_over_budget_exits_before_any_trial(tmp_path, capsys, monkeypatch):

@@ -19,6 +19,7 @@ from align_lab import (
     theory_report,
 )
 from align_lab.harness import CSV_VERSION_LINE, with_workers
+from align_lab.model import MAX_NODES
 
 
 def _write_config(tmp_path, text: str):
@@ -171,6 +172,10 @@ def test_parse_config_checks_parent_budget(tmp_path):
     # n = 2000 fits; the second point's ~2e11 parent edges do not
     over = GOOD_CONFIG.replace("n = 60", "n = 2000, 1000000")
     with pytest.raises(CapacityError):
+        parse_config(_write_config(tmp_path, over.format(out=tmp_path / "r.csv")))
+    # about 1e6 expected parent edges fit the edge budget, but not the node cap
+    over = GOOD_CONFIG.replace("n = 60", f"n = 2000, {MAX_NODES + 1}").replace("q = 0.2", "q = 1e-10")
+    with pytest.raises(CapacityError, match="node limit"):
         parse_config(_write_config(tmp_path, over.format(out=tmp_path / "r.csv")))
 
 

@@ -27,7 +27,8 @@ from align_lab import (
     kl_divergence,
     make_rng,
 )
-from align_lab.model import _er_edge_slots, _slots_to_keys
+from align_lab import model
+from align_lab.model import MAX_NODES, _er_edge_slots, _geometric_gaps, _slots_to_keys
 
 # Frozen with a 50-digit mpmath summation of the four cells at q=0.2, s=0.6.
 KL_02_06 = 0.1057337114231780007286040478161704613149249584877
@@ -193,13 +194,19 @@ def _graph_and_image(draw):
     return graph, np.array(draw(st.permutations(range(n))), dtype=np.int64)
 
 
+# the default block and blocks small enough that row runs straddle them
+_BLOCKS = st.sampled_from([model._BLOCK, 1, 3, 7])
+
+
 @settings(max_examples=200, deadline=None)
-@given(_graph_and_image())
-def test_relabeled_matches_from_edges_and_round_trips(case):
+@given(_graph_and_image(), _BLOCKS)
+def test_relabeled_matches_from_edges_and_round_trips(case, block):
     g, image = case
-    h = g.relabeled(image)
-    assert h == Graph.from_edges(g.n, image[g.edges()])
-    assert h.relabeled(np.argsort(image)) == g
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_BLOCK", block)
+        h = g.relabeled(image)
+        assert h == Graph.from_edges(g.n, image[g.edges()])
+        assert h.relabeled(np.argsort(image)) == g
 
 
 @pytest.mark.parametrize("image", [[0, 0, 2], [0, 1, 3], [0, 1]])
@@ -250,14 +257,17 @@ _HUGE_ROWS = (0, 1, _HUGE_N // 2, _HUGE_N - 3, _HUGE_N - 2)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_sorted_unique_slots())
-@example((_HUGE_N, np.array(_boundary_slots(_HUGE_N, _HUGE_ROWS), dtype=np.int64)))
-@example((2, np.empty(0, dtype=np.int64)))
-def test_slots_to_keys_matches_per_slot_search(case):
+@given(_sorted_unique_slots(), _BLOCKS)
+@example((_HUGE_N, np.array(_boundary_slots(_HUGE_N, _HUGE_ROWS), dtype=np.int64)), 1)
+@example((_HUGE_N, np.array(_boundary_slots(_HUGE_N, _HUGE_ROWS), dtype=np.int64)), 3)
+@example((2, np.empty(0, dtype=np.int64)), model._BLOCK)
+def test_slots_to_keys_matches_per_slot_search(case, block):
     n, slots = case
     expected = _slots_to_keys_by_slot(slots, n)
     given_slots = slots.copy()
-    keys = _slots_to_keys(given_slots, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_BLOCK", block)
+        keys = _slots_to_keys(given_slots, n)
     assert keys is given_slots  # mapped in place
     assert keys.dtype == np.int64 and np.array_equal(keys, expected)
 
@@ -274,6 +284,35 @@ def test_generate_is_deterministic():
     assert c.g_a != a.g_a
 
 
+# the largest slot count generate allows: every clip bound below is exact in float
+_MAX_CAP = math.comb(MAX_NODES, 2) + 1
+_GAP_PS = [1e-300, 1e-17, 1e-12, 5.2e-3, 0.2, math.nextafter(1 / 3, 0), 1 / 3, 0.5]
+_GAP_SIZES = [model._BLOCK - 1, model._BLOCK, model._BLOCK + 1, 3 * model._BLOCK + 5]
+
+
+@pytest.mark.parametrize("size", _GAP_SIZES)
+@pytest.mark.parametrize("p", _GAP_PS)
+def test_geometric_gaps_match_numpy(p, size):
+    # the same variates as numpy's own geometric draw, and the same state after;
+    # 1/3 and 0.5 take numpy's search branch, the rest its inversion
+    drawn, reference = make_rng(7), make_rng(7)
+    gaps = _geometric_gaps(drawn, p, np.empty(size, dtype=np.int64), _MAX_CAP)
+    expected = np.minimum(reference.geometric(p, size), _MAX_CAP)
+    assert gaps.dtype == np.int64 and np.array_equal(gaps, expected)
+    assert drawn.random() == reference.random()
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("params", [ModelParams(300, 0.02, 0.5), ModelParams(60, 0.2, 0.5)])
+def test_generate_does_not_depend_on_the_block(params, block, monkeypatch):
+    # parent p = 0.04 (inversion) and 0.4 (search): row runs straddle every block
+    default = generate(params, seed=4)
+    monkeypatch.setattr(model, "_BLOCK", block)
+    small = generate(params, seed=4)
+    assert small.g_a == default.g_a and small.g_b == default.g_b
+    assert small.pi_star == default.pi_star
+
+
 def test_generate_requires_positive_q():
     with pytest.raises(ParameterError):
         generate(ModelParams(10, 0.0, 0.5), seed=1)
@@ -286,9 +325,15 @@ def test_generate_at_tiny_q_gives_empty_graphs(q):
     assert inst.g_a.num_edges == 0 and inst.g_b.num_edges == 0
 
 
-def test_generate_capacity_guard():
+def test_generate_capacity_guard(monkeypatch):
     with pytest.raises(CapacityError):
         generate(ModelParams(100_000, 0.4, 0.5), seed=1)
+    # about 1e6 expected parent edges, within the edge budget, but too many nodes
+    drawn = []
+    monkeypatch.setattr(model, "make_rng", lambda *args: drawn.append(args))
+    with pytest.raises(CapacityError, match="node limit"):
+        generate(ModelParams(MAX_NODES + 1, 1e-10, 0.5), seed=1)
+    assert drawn == []
 
 
 def test_make_rng_rejects_negative_seed():
@@ -363,6 +408,19 @@ def test_generate_matched_pair_moments():
     assert abs(rho_hat - rho) < 0.02
 
 
+def _parent_keys_by_geometric(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Oracle: the parent's sorted edge keys from whole batches of
+    ``rng.geometric`` gaps, the generator's batch rule and a per-slot map."""
+    total = n * (n - 1) // 2
+    batch = max(1024, int(total * p * 1.2) + 64)
+    chunks, last = [], -1
+    while last < total:
+        chunks.append(last + np.cumsum(rng.geometric(p, size=batch)))
+        last = int(chunks[-1][-1])
+    slots = np.concatenate(chunks)
+    return _slots_to_keys_by_slot(slots[slots < total], n)
+
+
 @pytest.mark.parametrize(
     "n,q,s,seed",
     [(500, 0.04, 0.5, 3), (2000, 0.05, 0.7, 21), (20000, 0.013, 0.5, 2)],  # last: nqs = 130
@@ -372,7 +430,7 @@ def test_intersection_under_pistar_is_parent_kept_in_both(n, q, s, seed):
     inst = generate(params, seed)
     # re-draw in the documented order: parent slots, keep-A coins, keep-B coins, pi*
     rng = make_rng(seed)
-    parent = _slots_to_keys(_er_edge_slots(n, params.parent_p, rng), n)
+    parent = _parent_keys_by_geometric(n, params.parent_p, rng)
     keep_a = rng.random(parent.size) < s
     keep_b = rng.random(parent.size) < s
     assert np.array_equal(rng.permutation(n), inst.pi_star.as_array())
