@@ -25,10 +25,16 @@ slots (geometric skipping), retention coins for copy A, retention coins for
 copy B', then the permutation.  Identical ``(params, seed)`` therefore gives
 a bit-identical instance.
 
-The parent is never held as an edge list: its row-major slots map to the
-sorted edge keys ``u*n + v`` that ``Graph`` stores, the retention coins
-select the keys of A and of B' from them, and B is B' relabeled through the
-permutation.
+The parent is never held as an edge list.  Its slots are drawn into one
+oversampled buffer.  A buffer of ``_TRIM_MIN_BYTES`` or more is then shrunk
+in place to the slots below C(n, 2), so its unused tail does not stay
+resident; those row-major slots map in place to the sorted edge keys
+``u*n + v`` that ``Graph`` stores.  Each copy's retention coins are drawn
+into a bool mask and counted, and the kept keys are gathered block by block
+into an array of exactly that size, with no index of all kept entries.  B
+is B' relabeled through the permutation.  A large draw thus peaks while B'
+is selected, at about 17 bytes per parent edge: the parent keys, one mask,
+A and B'.
 
 The O(m) passes of a draw work through their arrays in blocks of
 ``_BLOCK`` elements, so their temporaries stay in cache.  Below p = 1/3
@@ -75,6 +81,14 @@ _GEOM_SEARCH_MIN_P = 0.3333333333333333
 # Elements per block of the O(m) passes over slots, coins and keys, so that
 # each pass's temporaries stay in cache.
 _BLOCK = 1 << 15
+
+# The slot buffer is shrunk in place to its used part from this size on.
+# glibc's malloc maps a buffer this large (its largest mmap threshold on
+# 64-bit) afresh on every allocation, so releasing the tail costs nothing.
+# It recycles a smaller one when it is freed whole; shrinking it first
+# keeps glibc's mmap threshold below the buffer's size, and every later
+# draw then maps and faults in a fresh buffer.
+_TRIM_MIN_BYTES = 32 << 20
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -317,14 +331,15 @@ class Graph:
         keys.sort()
         return Graph(self.n, keys)
 
-    def _mapped_keys(self, pi: Permutation) -> np.ndarray:
-        """Unsorted keys of the edges mapped through ``pi``: a new array,
-        without repeats, since the keys are unique and ``pi`` is a bijection."""
+    def _mapped_keys(self, pi: Permutation, out: np.ndarray | None = None) -> np.ndarray:
+        """Unsorted keys of the edges mapped through ``pi``, without repeats,
+        since the keys are unique and ``pi`` is a bijection.  Written into
+        ``out`` (int64, one entry per edge) when given, else a new array."""
         if len(pi) != self.n:
             raise ParameterError(f"relabeling must be a bijection on the {self.n} nodes")
         image = pi.as_array()
         n = self.n
-        keys = np.empty_like(self._keys)
+        keys = np.empty_like(self._keys) if out is None else out
         for begin in range(0, keys.size, _BLOCK):
             block = self._keys[begin : begin + _BLOCK]
             first, end = int(block[0]) // n, int(block[-1]) // n + 1
@@ -378,7 +393,14 @@ def _er_edge_slots(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
             last = int(gaps[-1])
         chunks.append(positions)
     slots = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    return slots[: np.searchsorted(slots, total)]
+    count = int(slots.searchsorted(total))
+    if slots.nbytes < _TRIM_MIN_BYTES:
+        return slots[:count]
+    # shrink in place, once no view of the buffer is left: a view of the
+    # slots below total would keep the oversampled tail resident
+    del chunks, positions, gaps
+    slots.resize(count, refcheck=False)
+    return slots
 
 
 def _geometric_gaps(rng: np.random.Generator, p: float, out: np.ndarray, cap: int) -> np.ndarray:
@@ -409,16 +431,47 @@ def _geometric_gaps(rng: np.random.Generator, p: float, out: np.ndarray, cap: in
     return out
 
 
-def _coins(rng: np.random.Generator, size: int, s: float) -> np.ndarray:
-    """``rng.random(size) < s``, drawn block by block into the bool mask."""
-    keep = np.empty(size, dtype=bool)
-    draws = np.empty(min(size, _BLOCK))
-    for start in range(0, size, _BLOCK):
+def _select(rng: np.random.Generator, keys: np.ndarray, s: float) -> np.ndarray:
+    """``keys[rng.random(keys.size) < s]``, a new array.
+
+    The coins are drawn block by block into a bool mask and counted; the
+    kept keys are then gathered block by block into an array of exactly
+    that size, so no index of all kept entries is built.
+    """
+    keep = np.empty(keys.size, dtype=bool)
+    draws = np.empty(min(keys.size, _BLOCK))
+    for start in range(0, keys.size, _BLOCK):
         chunk = keep[start : start + _BLOCK]
         u = draws[: chunk.size]
         rng.random(out=u)
         np.less(u, s, out=chunk)
-    return keep
+    kept = np.empty(np.count_nonzero(keep), dtype=keys.dtype)
+    end = 0
+    for start in range(0, keys.size, _BLOCK):
+        hits = keys[start : start + _BLOCK].compress(keep[start : start + _BLOCK])
+        kept[end : end + hits.size] = hits
+        end += hits.size
+    return kept
+
+
+def _compact_repeats(keys: np.ndarray) -> np.ndarray:
+    """Shrink the sorted ``keys``, whose values each appear at most twice, in
+    place to the repeated values, one entry each; returns ``keys``.
+
+    Each repeat is the second of two equal entries, so no more than half the
+    entries read so far are written: a block's writes never reach the
+    entries later blocks read.
+    """
+    found = 0
+    for start in range(0, keys.size - 1, _BLOCK):
+        stop = min(start + _BLOCK, keys.size - 1)
+        later = keys[start + 1 : stop + 1]
+        hits = later[later == keys[start:stop]]
+        keys[found : found + hits.size] = hits
+        found += hits.size
+        del later  # no view of the buffer may outlive its resize
+    keys.resize(found, refcheck=False)
+    return keys
 
 
 def _run_lengths(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
@@ -485,12 +538,10 @@ def generate(params: ModelParams, seed: int) -> CorrelatedInstance:
     n = params.n
     rng = make_rng(seed)
     keys = _slots_to_keys(_er_edge_slots(n, params.parent_p, rng), n)
-    keep_a = _coins(rng, keys.size, params.s)
-    keep_b = _coins(rng, keys.size, params.s)
+    g_a = Graph(n, _select(rng, keys, params.s))
+    b_prime = Graph(n, _select(rng, keys, params.s))
     pi_star = Permutation(rng.permutation(n))
-    g_a = Graph(n, keys.compress(keep_a))
-    b_prime = Graph(n, keys.compress(keep_b))
     # free the parent before the relabel, which holds two arrays of B's size
-    del keys, keep_a, keep_b
+    del keys
     g_b = b_prime.relabeled(pi_star)
     return CorrelatedInstance(g_a=g_a, g_b=g_b, pi_star=pi_star, params=params, seed=seed)

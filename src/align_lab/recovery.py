@@ -8,13 +8,15 @@ parameters) when at least n*(1+alpha)/2 nodes of that intersection graph
 have degree >= n*q*s/2.  Both thresholds are kept as exact reals and
 compared against integer degrees without rounding.
 
-Every intersection query maps A's edge keys through the permutation into
-B's labels, unsorted, concatenates them with B's sorted keys and sorts once:
-the matches are the entries equal to their neighbour, O((m_A + m_B) log m)
-per permutation.  This is exact because neither side repeats a key (A's keys
-are unique and pi is a bijection, B's keys are unique), so a key appears at
-most twice, once from each side, and two equal neighbours are always one A
-edge landing on one B edge.
+Every intersection query holds one buffer of m_A + m_B keys: A's edge keys
+are mapped through the permutation into B's labels straight into its front,
+B's sorted keys are copied behind them, and the buffer is sorted once.  The
+matches are the entries equal to their neighbour, O((m_A + m_B) log m) per
+permutation; they are compacted to the front of the same buffer, block by
+block, and the buffer is shrunk to them.  This is exact because neither side
+repeats a key (A's keys are unique and pi is a bijection, B's keys are
+unique), so a key appears at most twice, once from each side, and two equal
+neighbours are always one A edge landing on one B edge.
 
 The exhaustive routines enumerate image lists in lexicographic order and
 evaluate them in vectorized batches; results are reported as if the scan
@@ -52,7 +54,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .model import Graph, ModelParams, check_alpha
+from .model import Graph, ModelParams, _compact_repeats, check_alpha
 from .perms import Permutation
 
 # n! enumeration beyond this needs an explicit override.
@@ -101,12 +103,15 @@ def _check_same_size(g_a: Graph, g_b: Graph) -> int:
 def _matched_keys(g_a: Graph, g_b: Graph, pi: Permutation) -> np.ndarray:
     """Sorted keys, in B's labels, of the A edges {u, v} with {pi(u), pi(v)} in B."""
     _check_same_size(g_a, g_b)
+    m_a = g_a.num_edges
+    keys = np.empty(m_a + g_b.num_edges, dtype=np.int64)
     # _mapped_keys rejects a pi of another length, which could map two A
     # edges onto one key: that repeat would read as a match
-    keys = np.concatenate([g_a._mapped_keys(pi), g_b.edge_keys()])
+    g_a._mapped_keys(pi, out=keys[:m_a])
+    keys[m_a:] = g_b.edge_keys()
     keys.sort()
-    later = keys[1:]
-    return later[later == keys[:-1]]
+    # a match is an A key equal to a B key, the only way a key repeats
+    return _compact_repeats(keys)
 
 
 def intersection_degrees(g_a: Graph, g_b: Graph, pi: Permutation) -> np.ndarray:
