@@ -8,15 +8,14 @@ parameters) when at least n*(1+alpha)/2 nodes of that intersection graph
 have degree >= n*q*s/2.  Both thresholds are kept as exact reals and
 compared against integer degrees without rounding.
 
-Every intersection query holds one buffer of m_A + m_B keys: A's edge keys
-are mapped through the permutation into B's labels straight into its front,
-B's sorted keys are copied behind them, and the buffer is sorted once.  The
-matches are the entries equal to their neighbour, O((m_A + m_B) log m) per
-permutation; they are compacted to the front of the same buffer, block by
-block, and the buffer is shrunk to them.  This is exact because neither side
-repeats a key (A's keys are unique and pi is a bijection, B's keys are
-unique), so a key appears at most twice, once from each side, and two equal
-neighbours are always one A edge landing on one B edge.
+Every intersection query maps A's edge keys through the permutation into
+B's labels and sorts them, O(m_A log m_A) per permutation.  Each block of
+them is merged with B's sorted keys in its value range, its matches (the
+entries equal to their neighbour) go to the front of A's buffer, and the
+buffer is shrunk to them.  This is exact because neither side repeats a key
+(A's keys are unique and pi is a bijection, B's keys are unique), so a key
+appears at most twice, once from each side, and two equal neighbours are
+always one A edge landing on one B edge.
 
 The exhaustive routines enumerate image lists in lexicographic order and
 evaluate them in vectorized batches; results are reported as if the scan
@@ -54,7 +53,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .model import Graph, ModelParams, _compact_repeats, check_alpha
+from .model import Graph, ModelParams, _endpoint_degrees, _keep_common, check_alpha
 from .perms import Permutation
 
 # n! enumeration beyond this needs an explicit override.
@@ -103,20 +102,14 @@ def _check_same_size(g_a: Graph, g_b: Graph) -> int:
 def _matched_keys(g_a: Graph, g_b: Graph, pi: Permutation) -> np.ndarray:
     """Sorted keys, in B's labels, of the A edges {u, v} with {pi(u), pi(v)} in B."""
     _check_same_size(g_a, g_b)
-    m_a = g_a.num_edges
-    keys = np.empty(m_a + g_b.num_edges, dtype=np.int64)
     # _mapped_keys rejects a pi of another length, which could map two A
     # edges onto one key: that repeat would read as a match
-    g_a._mapped_keys(pi, out=keys[:m_a])
-    keys[m_a:] = g_b.edge_keys()
-    keys.sort()
-    # a match is an A key equal to a B key, the only way a key repeats
-    return _compact_repeats(keys)
+    return _keep_common(g_a._mapped_keys(pi), g_b.edge_keys())
 
 
 def intersection_degrees(g_a: Graph, g_b: Graph, pi: Permutation) -> np.ndarray:
     """Per-node degrees of the intersection graph, without building it."""
-    return Graph(g_a.n, _matched_keys(g_a, g_b, pi)).degrees()[pi.as_array()]
+    return _endpoint_degrees(_matched_keys(g_a, g_b, pi), g_a.n)[pi.as_array()]
 
 
 def intersection_graph(g_a: Graph, g_b: Graph, pi: Permutation) -> Graph:

@@ -316,6 +316,25 @@ def test_select_matches_whole_array_coins(size):
     assert drawn.random() == reference.random()
 
 
+@pytest.mark.parametrize("owned", [True, False], ids=["owned-resize", "view"])
+@pytest.mark.parametrize("size", _GAP_SIZES)
+def test_select_in_place_matches_whole_array_coins(size, owned, monkeypatch):
+    # out=keys compacts the kept keys into the front of keys: an owned buffer
+    # at _TRIM_MIN_BYTES is shrunk in place, a view below it is cut to a view
+    buffer = np.arange(size + 9, dtype=np.int64) * 3 + 1
+    keys = buffer[:size].copy() if owned else buffer[:size]
+    monkeypatch.setattr(model, "_TRIM_MIN_BYTES", keys.nbytes + (0 if owned else 1))
+    drawn, reference = make_rng(5), make_rng(5)
+    expected = keys[reference.random(keys.size) < 0.5]
+    kept = model._select(drawn, keys, 0.5, out=keys)
+    assert kept.dtype == np.int64 and np.array_equal(kept, expected)
+    assert drawn.random() == reference.random()
+    if owned:
+        assert kept is keys and keys.size == expected.size
+    else:
+        assert kept.base is buffer and keys.size == size
+
+
 @pytest.mark.parametrize("block", [1, 3, 7])
 @pytest.mark.parametrize("params", [ModelParams(300, 0.02, 0.5), ModelParams(60, 0.2, 0.5)])
 def test_generate_does_not_depend_on_the_block(params, block, monkeypatch):
@@ -382,9 +401,9 @@ def test_generate_relabel_consistency():
 
 def test_generate_peak_memory_per_parent_edge():
     # n = 20000, nqs = 130: 5.2 M parent edges.  The peak is the select of
-    # B': the parent keys (8 B per parent edge, the slot buffer trimmed to
-    # them), the coin mask (1), A (4) and B' (4).  An untrimmed buffer or an
-    # index of the kept entries, as compress builds, peaked at 23.6 B.
+    # A: the parent keys (8 B per parent edge, the slot buffer trimmed to
+    # them), the coin mask (1) and A (4); B' is compacted into the parent's
+    # buffer.  B' gathered beside the parent and A peaked at 17.1 B.
     params = ModelParams(20000, 0.013, 0.5)
     parent_edges = _er_edge_slots(params.n, params.parent_p, make_rng(11)).size
     tracemalloc.start()
@@ -393,7 +412,7 @@ def test_generate_peak_memory_per_parent_edge():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 18 * parent_edges
+    assert peak <= 14 * parent_edges
 
 
 def test_generate_marginal_densities():

@@ -167,8 +167,15 @@ def test_matched_keys_match_searchsorted_probe(case):
 
 
 _K6, _EMPTY6 = Graph.complete(6), Graph.empty(6)
+_K40 = Graph.complete(40)
+_ONE40 = Graph.from_edges(40, [(3, 17)])
 _IDENTITY6, _REVERSE6 = Permutation.identity(6), Permutation([5, 4, 3, 2, 1, 0])
 _DISJOINT6 = (Graph.from_edges(6, [(0, 1), (2, 3)]), Graph.from_edges(6, [(0, 2), (1, 3)]))
+# A's keys all lie below B's: every block's run of B is empty
+_LOW_HIGH6 = (
+    Graph.from_edges(6, [(0, 1), (0, 2), (1, 2)]),
+    Graph.from_edges(6, [(3, 4), (3, 5), (4, 5)]),
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -176,16 +183,34 @@ _DISJOINT6 = (Graph.from_edges(6, [(0, 1), (2, 3)]), Graph.from_edges(6, [(0, 2)
 @example((_EMPTY6, _K6, _IDENTITY6), 1)  # empty A
 @example((_K6, _EMPTY6, _IDENTITY6), 1)  # empty B
 @example((*_DISJOINT6, _IDENTITY6), 1)  # no match
+@example((*_LOW_HIGH6, _IDENTITY6), 1)  # disjoint key ranges
+@example((*_LOW_HIGH6[::-1], _IDENTITY6), 2)
+@example((_ONE40, _K40, Permutation.identity(40)), 1)  # m_A << m_B
+@example((_K40, _ONE40, Permutation.identity(40)), 7)  # m_A >> m_B
 @example((_K6, _K6, _REVERSE6), 1)  # every edge matches
 @example((_K6, _K6, _REVERSE6), 3)
 def test_matched_keys_match_intersect1d_for_any_block(case, block):
-    # the matches are compacted block by block inside the probe buffer
+    # A's sorted keys are walked in blocks, each merged with its run of B
     g_a, g_b, pi = case
     expected = np.intersect1d(_mapped_by_divmod(g_a, pi), g_b.edge_keys(), assume_unique=True)
+    merges = []
+    common = model._common
+
+    def spy(block_keys, run):
+        merges.append((block_keys.size, run.size))
+        return common(block_keys, run)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_BLOCK", block)
+        mp.setattr(model, "_common", spy)
         keys = recovery._matched_keys(g_a, g_b, pi)
     assert keys.dtype == np.int64 and np.array_equal(keys, expected)
+    # the patched block size reaches the walk, whose merges stay within m_A + m_B;
+    # the blocks' value ranges are disjoint, so B's runs are too
+    m_a, m_b = g_a.num_edges, g_b.num_edges
+    assert len(merges) == -(-m_a // block)
+    assert all(size <= block and size + run <= m_a + m_b for size, run in merges)
+    assert sum(run for _, run in merges) <= m_b
 
 
 # -- goodness -----------------------------------------------------------------
@@ -218,10 +243,9 @@ def test_is_good_histogram_covers_all_nodes():
 
 
 def test_is_good_extra_peak_memory_per_parent_edge():
-    # n = 20000, nqs = 130: 5.2 M parent edges.  The peak is the probe's one
-    # buffer of m_A + m_B keys (8 B per parent edge): A's keys are mapped
-    # into it and the matches compacted in it.  A separate array of A's
-    # mapped keys beside the buffer peaked at 12 B.
+    # n = 20000, nqs = 130: 5.2 M parent edges.  The peak is A's sorted
+    # mapped keys (4 B per parent edge), merged with B block by block and
+    # shrunk to the matches.  One buffer of m_A + m_B keys peaked at 8.2 B.
     params = ModelParams(20000, 0.013, 0.5)
     parent_edges = _er_edge_slots(params.n, params.parent_p, make_rng(11)).size
     inst = generate(params, 11)
@@ -232,7 +256,7 @@ def test_is_good_extra_peak_memory_per_parent_edge():
     finally:
         tracemalloc.stop()
     assert report.is_good
-    assert peak <= 9 * parent_edges
+    assert peak <= 5 * parent_edges
 
 
 _RSS_TRIAL = """
@@ -254,9 +278,10 @@ def test_pistar_trial_resident_memory_per_parent_edge():
     # tracemalloc counts allocations, not resident pages, and resident pages
     # are what the benchmark's peak_rss_mb reads: a view that kept the slot
     # buffer's oversampled tail resident showed only here.  One trial grows
-    # 18.5 B per parent edge (25.1 with that view and compress's index).
-    # Resident pages depend on numpy's allocator and on the C library, and
-    # the 1.5 B of headroom was measured with numpy 2.4.6 only.
+    # 14.6 B per parent edge (18.6 with B' beside the parent and the m_A + m_B
+    # probe buffer, 25.1 with that view and compress's index).  Resident pages
+    # depend on numpy's allocator and on the C library, and the 1.4 B of
+    # headroom was measured with numpy 2.4.6 only.
     pytest.importorskip("resource")
     if np.__version__ != "2.4.6":
         pytest.skip("resident growth measured with numpy 2.4.6 only")
@@ -273,7 +298,7 @@ def test_pistar_trial_resident_memory_per_parent_edge():
     )
     before, after = map(int, out.stdout.split())
     unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in kB on Linux
-    assert (after - before) * unit <= 20 * parent_edges
+    assert (after - before) * unit <= 16 * parent_edges
 
 
 def test_is_good_alpha_validation():
