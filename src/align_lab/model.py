@@ -32,8 +32,10 @@ copy's retention coins are drawn into a bool mask, and each block's kept
 keys are taken straight into place.  A gets an array of its own; B's coins
 are the last draw that reads the parent, so B' is compacted into the
 parent's buffer and cut by ``_trim``.  B is B' relabeled through the
-permutation.  A large draw thus peaks while A is selected, at about 13 bytes
-per parent edge: the parent keys, one mask and A.
+permutation: B stores the keys of B' with the permutation as their image,
+and maps and sorts them only when a query reads its keys (see ``Graph``).
+A large draw thus peaks while A is selected, at about 13 bytes per parent
+edge: the parent keys, one mask and A.
 
 The O(m) passes of a draw work through their arrays in blocks of
 ``_BLOCK`` elements, so their temporaries stay in cache.  Below p = 1/3
@@ -43,7 +45,7 @@ rounded up and clipped; at and above it ``rng.geometric`` is called on the
 block.  The coins are a block of uniforms compared with s.  Blocks read the
 stream in the same order as whole-array draws, so the variates are the same.
 
-The slot-to-key map and the relabel decode each block of sorted entries by
+The slot-to-key map and ``_map_keys`` decode each block of sorted entries by
 row runs: the block's first and last entry give its rows, one
 ``searchsorted`` over their boundaries gives the entries in each row, and
 ``repeat`` of a per-row value over those counts gives the row's share of
@@ -227,17 +229,23 @@ def kl_divergence(p: PairDistribution, q_dist: PairDistribution) -> float:
 class Graph:
     """Undirected simple graph on n labeled nodes, 0-indexed.
 
-    Stored as the sorted int64 edge keys ``u*n + v`` (u < v), one per edge.
-    Per-node neighbor arrays are built on the first call to ``neighbors``.
-    Immutable after construction; safe to share across threads and processes.
+    Stored as sorted int64 edge keys ``u*n + v`` (u < v), one per edge, and
+    an image array: the graph's edges are the stored edges mapped through
+    the image, or the stored edges themselves when the image is None.
+    ``relabeled`` stores its source's keys with the composed image; the
+    first query that reads the keys maps and sorts them and stores them
+    with no image.  Per-node neighbor arrays are built on the first call to
+    ``neighbors``.  The keys and their image share one slot, replaced in a
+    single assignment, so the graph never changes as seen from outside and
+    is safe to share across threads and processes.
     """
 
-    __slots__ = ("n", "_keys", "_adjacency")
+    __slots__ = ("n", "_stored", "_adjacency")
 
-    def __init__(self, n: int, keys: np.ndarray):
+    def __init__(self, n: int, keys: np.ndarray, image: np.ndarray | None = None):
         self.n = int(n)
         keys.setflags(write=False)
-        self._keys = keys
+        self._stored = (keys, image)
         self._adjacency: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction --------------------------------------------------
@@ -280,17 +288,18 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return self._keys.size
+        return self._stored[0].size
 
     def degrees(self) -> np.ndarray:
-        return _endpoint_degrees(self._keys.copy(), self.n)
+        return _endpoint_degrees(self.edge_keys().copy(), self.n)
 
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbor array of node i (a read-only view)."""
         if self._adjacency is None:
-            u, v = np.divmod(self._keys, self.n)
+            keys = self.edge_keys()
+            u, v = np.divmod(keys, self.n)
             # both orientations as src*n + dst, so one sort orders by (src, dst)
-            both = np.concatenate([self._keys, v * self.n + u])
+            both = np.concatenate([keys, v * self.n + u])
             both.sort()
             starts = np.searchsorted(both, np.arange(self.n + 1, dtype=np.int64) * self.n)
             targets = both % self.n
@@ -302,17 +311,23 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ParameterError(f"endpoints ({u}, {v}) out of range for n={self.n}")
+        keys = self.edge_keys()
         key = min(u, v) * self.n + max(u, v)
-        pos = np.searchsorted(self._keys, key)
-        return bool(pos < self._keys.size and self._keys[pos] == key)
+        pos = np.searchsorted(keys, key)
+        return bool(pos < keys.size and keys[pos] == key)
 
     def edges(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, sorted lexicographically."""
-        return np.column_stack(np.divmod(self._keys, self.n))
+        return np.column_stack(np.divmod(self.edge_keys(), self.n))
 
     def edge_keys(self) -> np.ndarray:
         """Sorted int64 keys u*n+v (u < v) of all edges, read-only."""
-        return self._keys
+        keys, image = self._stored
+        if image is not None:
+            keys = _map_keys(keys, image, self.n)
+            keys.setflags(write=False)
+            self._stored = (keys, None)
+        return keys
 
     def density(self) -> float:
         return self.num_edges / math.comb(self.n, 2) if self.n >= 2 else 0.0
@@ -321,45 +336,70 @@ class Graph:
         """New graph with every edge (u, v) mapped to (image[u], image[v]).
 
         ``image`` is a Permutation of the n nodes, or an image list that
-        makes one.  ``_mapped_keys`` is the one place that maps edge keys
-        through a permutation; the intersection queries use it too.
+        makes one.  The new graph shares this graph's stored keys; they are
+        mapped and sorted when a query first reads them.
         """
         pi = image if isinstance(image, Permutation) else Permutation(image)
-        return Graph(self.n, self._mapped_keys(pi))
-
-    def _mapped_keys(self, pi: Permutation) -> np.ndarray:
-        """Sorted keys of the edges mapped through ``pi``, a new array, without
-        repeats, since the keys are unique and ``pi`` is a bijection."""
         if len(pi) != self.n:
             raise ParameterError(f"relabeling must be a bijection on the {self.n} nodes")
-        image = pi.as_array()
-        n = self.n
-        keys = np.empty_like(self._keys)
-        for begin in range(0, keys.size, _BLOCK):
-            block = self._keys[begin : begin + _BLOCK]
-            first, end = int(block[0]) // n, int(block[-1]) // n + 1
-            row_keys = np.arange(first * n, (end + 1) * n, n, dtype=np.int64)
-            counts = _run_lengths(block, row_keys)
-            v = image[block - row_keys[:-1].repeat(counts)]
-            u = image[first:end].repeat(counts)
-            out = keys[begin : begin + _BLOCK]
-            np.minimum(u, v, out=out)
-            np.maximum(u, v, out=u)
-            out *= n
-            out += u
-        keys.sort()
-        return keys
+        keys, first = self._stored
+        return Graph(self.n, keys, pi.as_array() if first is None else pi.as_array()[first])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self._keys, other._keys)
+        return self.n == other.n and np.array_equal(self.edge_keys(), other.edge_keys())
 
     def __hash__(self):
-        return hash((self.n, self._keys.tobytes()))
+        return hash((self.n, self.edge_keys().tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
+
+
+def _map_keys(keys: np.ndarray, image: np.ndarray, n: int) -> np.ndarray:
+    """Sorted keys of the edges ``keys`` mapped through ``image``, a
+    bijection on the n nodes; a new array, without repeats, since the keys
+    are unique."""
+    mapped = np.empty_like(keys)
+    for begin in range(0, keys.size, _BLOCK):
+        block = keys[begin : begin + _BLOCK]
+        first, end = int(block[0]) // n, int(block[-1]) // n + 1
+        row_keys = np.arange(first * n, (end + 1) * n, n, dtype=np.int64)
+        counts = _run_lengths(block, row_keys)
+        v = image[block - row_keys[:-1].repeat(counts)]
+        u = image[first:end].repeat(counts)
+        out = mapped[begin : begin + _BLOCK]
+        np.minimum(u, v, out=out)
+        np.maximum(u, v, out=u)
+        out *= n
+        out += u
+    mapped.sort()
+    return mapped
+
+
+def _matched_keys(g_a: Graph, g_b: Graph, pi: Permutation) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys, in the labels B's keys are stored in, of the A edges {u, v}
+    with {pi(u), pi(v)} in B, and ``tau``, B's image inverted after ``pi``,
+    which takes A's labels to those.  An identity ``tau`` (pi* on a generated
+    instance) needs neither map nor sort: A's own keys are merged."""
+    n = g_a.n
+    if g_b.n != n:
+        raise ParameterError(f"graphs disagree on node count: {n} vs {g_b.n}")
+    # a pi of another length could map two A edges onto one key: that
+    # repeat would read as a match
+    if len(pi) != n:
+        raise ParameterError(f"relabeling must be a bijection on the {n} nodes")
+    b_keys, b_image = g_b._stored
+    tau = pi.as_array()
+    if b_image is not None:
+        inverse = np.empty_like(b_image)
+        inverse[b_image] = np.arange(n)
+        tau = inverse[tau]
+        del inverse  # only tau is held through the merge
+    a_keys = g_a.edge_keys()
+    mapped = a_keys.copy() if np.array_equal(tau, np.arange(n)) else _map_keys(a_keys, tau, n)
+    return _keep_common(mapped, b_keys), tau
 
 
 def _er_edge_slots(n: int, p: float, rng: np.random.Generator) -> np.ndarray:

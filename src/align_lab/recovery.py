@@ -8,12 +8,16 @@ parameters) when at least n*(1+alpha)/2 nodes of that intersection graph
 have degree >= n*q*s/2.  Both thresholds are kept as exact reals and
 compared against integer degrees without rounding.
 
-Every intersection query maps A's edge keys through the permutation into
-B's labels and sorts them, O(m_A log m_A) per permutation.  Each block of
-them is merged with B's sorted keys in its value range, its matches (the
-entries equal to their neighbour) go to the front of A's buffer, and the
-buffer is shrunk to them.  This is exact because neither side repeats a key
-(A's keys are unique and pi is a bijection, B's keys are unique), so a key
+Every intersection query maps A's edge keys into the labels that B's keys
+are stored in (see ``model.Graph``) and sorts them, O(m_A log m_A) per
+permutation.  The map is tau, B's image inverted after the permutation.
+Under pi* on a generated instance tau is the identity, since B stores the
+keys of B' with pi* as their image, and a copy of A's sorted keys is used
+as it is.  Each block of them is merged with B's stored keys in its value
+range, its matches (the entries equal to their neighbour) go to the front
+of the copy, and the copy is shrunk to them; their degrees are indexed by
+tau back into A's labels.  This is exact because neither side repeats a key
+(A's keys are unique and tau is a bijection, B's keys are unique), so a key
 appears at most twice, once from each side, and two equal neighbours are
 always one A edge landing on one B edge.
 
@@ -53,7 +57,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .model import Graph, ModelParams, _endpoint_degrees, _keep_common, check_alpha
+from .model import Graph, ModelParams, _endpoint_degrees, _matched_keys, check_alpha
 from .perms import Permutation
 
 # n! enumeration beyond this needs an explicit override.
@@ -99,22 +103,16 @@ def _check_same_size(g_a: Graph, g_b: Graph) -> int:
     return g_a.n
 
 
-def _matched_keys(g_a: Graph, g_b: Graph, pi: Permutation) -> np.ndarray:
-    """Sorted keys, in B's labels, of the A edges {u, v} with {pi(u), pi(v)} in B."""
-    _check_same_size(g_a, g_b)
-    # _mapped_keys rejects a pi of another length, which could map two A
-    # edges onto one key: that repeat would read as a match
-    return _keep_common(g_a._mapped_keys(pi), g_b.edge_keys())
-
-
 def intersection_degrees(g_a: Graph, g_b: Graph, pi: Permutation) -> np.ndarray:
     """Per-node degrees of the intersection graph, without building it."""
-    return _endpoint_degrees(_matched_keys(g_a, g_b, pi), g_a.n)[pi.as_array()]
+    keys, tau = _matched_keys(g_a, g_b, pi)
+    return _endpoint_degrees(keys, g_a.n)[tau]
 
 
 def intersection_graph(g_a: Graph, g_b: Graph, pi: Permutation) -> Graph:
     """Graph with edge {i, j} iff A has {i, j} and B has {pi(i), pi(j)}."""
-    return Graph(g_a.n, _matched_keys(g_a, g_b, pi)).relabeled(pi.inverse())
+    keys, tau = _matched_keys(g_a, g_b, pi)
+    return Graph(g_a.n, keys).relabeled(np.argsort(tau))
 
 
 def is_good(
@@ -287,7 +285,7 @@ def map_estimate(g_a: Graph, g_b: Graph, force_large: bool = False) -> Permutati
 
 def overlap_objective(g_a: Graph, g_b: Graph, pi: Permutation) -> int:
     """Number of edges of A mapped onto edges of B by pi (the MAP objective)."""
-    return int(_matched_keys(g_a, g_b, pi).size)
+    return int(_matched_keys(g_a, g_b, pi)[0].size)
 
 
 def k_core(g: Graph, k: float, peel_order: list[int] | None = None) -> KCoreResult:

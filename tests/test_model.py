@@ -5,6 +5,9 @@ distributional and determinism guarantees."""
 from __future__ import annotations
 
 import math
+import pickle
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -207,6 +210,98 @@ def test_relabeled_matches_from_edges_and_round_trips(case, block):
         h = g.relabeled(image)
         assert h == Graph.from_edges(g.n, image[g.edges()])
         assert h.relabeled(np.argsort(image)) == g
+
+
+@st.composite
+def _graph_and_two_images(draw):
+    graph, first = draw(_graph_and_image())
+    return graph, first, np.array(draw(st.permutations(range(graph.n))), dtype=np.int64)
+
+
+def _answers(g: Graph) -> list:
+    """The answers of ``g`` to every query, in a fixed order."""
+    n = g.n
+    pairs = [(u, v) for u in range(n) for v in range(n)]
+    return [
+        g.num_edges,
+        g.edge_keys().tolist(),
+        g.edges().tolist(),
+        g.degrees().tolist(),
+        [g.neighbors(i).tolist() for i in range(n)],
+        [g.has_edge(u, v) for u, v in pairs],
+        hash(g),
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_and_two_images(), _BLOCKS)
+def test_deferred_relabel_answers_like_from_edges(case, block):
+    # a relabeled graph stores its source's keys and the (composed) image;
+    # every query must answer as the graph built from the mapped edges
+    g, first, second = case
+    once = Graph.from_edges(g.n, first[g.edges()])
+    twice = Graph.from_edges(g.n, second[first[g.edges()]])
+    mapped = []
+    map_keys = model._map_keys
+
+    def spy(keys, image, n):
+        mapped.append(keys.size)
+        return map_keys(keys, image, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_BLOCK", block)
+        mp.setattr(model, "_map_keys", spy)
+        for make, expected in (
+            (lambda: g.relabeled(first), once),
+            (lambda: g.relabeled(first).relabeled(second), twice),
+            (lambda: pickle.loads(pickle.dumps(g.relabeled(first).relabeled(second))), twice),
+        ):
+            want = _answers(expected)
+            mapped.clear()
+            assert make().num_edges == want[0] and not mapped  # no map, no sort
+            for i, answer in enumerate(want):
+                # each query on a fresh graph, so each one maps the keys itself
+                assert _answers(make())[i] == answer
+            h = make()
+            assert h == expected and expected == h and hash(h) == hash(expected)
+            assert pickle.loads(pickle.dumps(h)) == expected
+            # the first query maps the composed image once; later ones reuse the keys
+            mapped.clear()
+            _answers(make())
+            assert mapped == [g.num_edges]
+
+
+def test_deferred_keys_read_by_threads_at_once():
+    # the keys and their image live in one slot: a reader that paired the
+    # mapped keys with the old image would map them twice
+    rng = make_rng(7)
+    # any sorted unique slots below C(n, 2) are edge keys after _slots_to_keys
+    slots = np.sort(rng.choice(4000 * 3999 // 2, 300_000, replace=False))
+    g = Graph(4000, _slots_to_keys(slots, 4000))
+    image = rng.permutation(4000)
+    expected = Graph.from_edges(4000, image[g.edges()]).edge_keys()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            h = g.relabeled(image)
+            start = threading.Barrier(4)
+            results = [None] * 4
+
+            def read(i):
+                start.wait(timeout=30)
+                results[i] = h.edge_keys()
+
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert all(keys is not None and np.array_equal(keys, expected) for keys in results)
+            assert np.array_equal(h.edge_keys(), expected)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("image", [[0, 0, 2], [0, 1, 3], [0, 1]])

@@ -90,14 +90,20 @@ def _graph_pair_and_permutation(draw):
 @given(_graph_pair_and_permutation())
 def test_intersection_queries_match_set_oracle(case):
     n, edges_a, edges_b, image = case
-    g_a, g_b, pi = Graph.from_edges(n, edges_a), Graph.from_edges(n, edges_b), Permutation(image)
+    g_a, pi = Graph.from_edges(n, edges_a), Permutation(image)
     in_b = {frozenset(e) for e in edges_b}
     inter = {frozenset(e) for e in edges_a if frozenset((image[e[0]], image[e[1]])) in in_b}
-    assert intersection_degrees(g_a, g_b, pi).tolist() == [
-        sum(1 for e in inter if i in e) for i in range(n)
-    ]
-    assert {frozenset(e) for e in intersection_graph(g_a, g_b, pi).edges().tolist()} == inter
-    assert overlap_objective(g_a, g_b, pi) == len(inter)
+    # B as built, and B stored in other labels with pi (the probe's tau is
+    # the identity) and another image relabeling it to the same edges
+    e_b = np.array(edges_b, dtype=np.int64).reshape(-1, 2)
+    for x in (None, np.array(image), np.array(image[::-1])):
+        g_b = Graph.from_edges(n, e_b if x is None else np.argsort(x)[e_b])
+        g_b = g_b if x is None else g_b.relabeled(x)
+        assert intersection_degrees(g_a, g_b, pi).tolist() == [
+            sum(1 for e in inter if i in e) for i in range(n)
+        ]
+        assert {frozenset(e) for e in intersection_graph(g_a, g_b, pi).edges().tolist()} == inter
+        assert overlap_objective(g_a, g_b, pi) == len(inter)
 
 
 def test_intersection_size_mismatch():
@@ -155,15 +161,37 @@ def _dense_or_sparse_pair(draw, max_n=300):
     return g_a, g_b, Permutation.random(n, make_rng(draw(st.integers(0, 2**32 - 1))))
 
 
+def _stored_forms(g: Graph, pi: Permutation) -> list[tuple[Graph, np.ndarray]]:
+    """B as built, and relabeled from ``g`` through pi (so that the probe's tau
+    is the identity) and through another image (so that it is not), each
+    with the image that takes its stored keys to its labels."""
+    other = pi.as_array()[::-1]
+    identity = np.arange(g.n)
+    return [(g, identity), (g.relabeled(pi), pi.as_array()), (g.relabeled(other), other)]
+
+
+def _in_labels(keys: np.ndarray, n: int, image: np.ndarray) -> np.ndarray:
+    """The sorted keys of the edges ``keys`` mapped through ``image``."""
+    return np.sort(_mapped_by_divmod(Graph(n, keys.copy()), Permutation(image)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_dense_or_sparse_pair())
 def test_matched_keys_match_searchsorted_probe(case):
-    g_a, g_b, pi = case
-    keys = recovery._matched_keys(g_a, g_b, pi)
-    expected = _matched_keys_by_probe(g_a, g_b, pi)
-    assert keys.dtype == expected.dtype and np.array_equal(keys, expected)
+    g_a, g, pi = case
+    for g_b, image in _stored_forms(g, pi):
+        # the probe runs before anything reads B's keys, so it sees B's stored form
+        keys, tau = model._matched_keys(g_a, g_b, pi)
+        expected = _matched_keys_by_probe(g_a, g_b, pi)
+        assert keys.dtype == expected.dtype and np.all(keys[1:] > keys[:-1])
+        assert np.array_equal(_in_labels(keys, g.n, image), expected)
+        # tau takes A's labels to B's stored ones: B's image inverted after pi
+        assert np.array_equal(image[tau], pi.as_array())
     # B against itself under the identity: every key matches exactly once
-    assert np.array_equal(recovery._matched_keys(g_b, g_b, Permutation.identity(g_b.n)), g_b.edge_keys())
+    for g_b, image in _stored_forms(g, pi):
+        keys, tau = model._matched_keys(g_b, g_b, Permutation.identity(g.n))
+        assert np.array_equal(_in_labels(keys, g.n, image), g_b.edge_keys())
+        assert np.array_equal(image[tau], np.arange(g.n))
 
 
 _K6, _EMPTY6 = Graph.complete(6), Graph.empty(6)
@@ -190,27 +218,30 @@ _LOW_HIGH6 = (
 @example((_K6, _K6, _REVERSE6), 1)  # every edge matches
 @example((_K6, _K6, _REVERSE6), 3)
 def test_matched_keys_match_intersect1d_for_any_block(case, block):
-    # A's sorted keys are walked in blocks, each merged with its run of B
-    g_a, g_b, pi = case
-    expected = np.intersect1d(_mapped_by_divmod(g_a, pi), g_b.edge_keys(), assume_unique=True)
-    merges = []
+    # A's sorted keys are walked in blocks, each merged with its run of B's stored keys
+    g_a, g, pi = case
     common = model._common
+    for g_b, image in _stored_forms(g, pi):
+        merges = []
 
-    def spy(block_keys, run):
-        merges.append((block_keys.size, run.size))
-        return common(block_keys, run)
+        def spy(block_keys, run):
+            merges.append((block_keys.size, run.size))
+            return common(block_keys, run)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model, "_BLOCK", block)
-        mp.setattr(model, "_common", spy)
-        keys = recovery._matched_keys(g_a, g_b, pi)
-    assert keys.dtype == np.int64 and np.array_equal(keys, expected)
-    # the patched block size reaches the walk, whose merges stay within m_A + m_B;
-    # the blocks' value ranges are disjoint, so B's runs are too
-    m_a, m_b = g_a.num_edges, g_b.num_edges
-    assert len(merges) == -(-m_a // block)
-    assert all(size <= block and size + run <= m_a + m_b for size, run in merges)
-    assert sum(run for _, run in merges) <= m_b
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "_BLOCK", block)
+            mp.setattr(model, "_common", spy)
+            keys, tau = model._matched_keys(g_a, g_b, pi)
+        expected = np.intersect1d(_mapped_by_divmod(g_a, pi), g_b.edge_keys(), assume_unique=True)
+        assert keys.dtype == np.int64 and np.all(keys[1:] > keys[:-1])
+        assert np.array_equal(_in_labels(keys, g.n, image), expected)
+        assert np.array_equal(image[tau], pi.as_array())
+        # the patched block size reaches the walk, whose merges stay within m_A + m_B;
+        # the blocks' value ranges are disjoint, so B's runs are too
+        m_a, m_b = g_a.num_edges, g_b.num_edges
+        assert len(merges) == -(-m_a // block)
+        assert all(size <= block and size + run <= m_a + m_b for size, run in merges)
+        assert sum(run for _, run in merges) <= m_b
 
 
 # -- goodness -----------------------------------------------------------------
@@ -257,6 +288,26 @@ def test_is_good_extra_peak_memory_per_parent_edge():
         tracemalloc.stop()
     assert report.is_good
     assert peak <= 5 * parent_edges
+
+
+def test_pistar_trial_neither_maps_nor_sorts_b_or_a():
+    # B stores the keys of B' with pi* as their image, so under pi* the probe merges
+    # A's sorted keys with them as they are; B stays unmapped after the trial
+    params = ModelParams(2000, 0.02, 0.5)
+    mapped = []
+    map_keys = model._map_keys
+
+    def spy(keys, image, n):
+        mapped.append(keys.size)
+        return map_keys(keys, image, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_map_keys", spy)
+        inst = generate(params, 11)
+        report = is_good(inst.g_a, inst.g_b, inst.pi_star, params, 0.5)
+        assert mapped == [] and inst.g_b._stored[1] is not None
+    built = Graph.from_edges(params.n, inst.g_b.edges())
+    assert report == is_good(inst.g_a, built, inst.pi_star, params, 0.5)
 
 
 _RSS_TRIAL = """
