@@ -26,16 +26,13 @@ copy B', then the permutation.  Identical ``(params, seed)`` therefore gives
 a bit-identical instance.
 
 The parent is never held as an edge list.  Its slots are drawn into one
-oversampled buffer, cut by ``_trim`` to the slots below C(n, 2), and mapped
-in place to the sorted edge keys ``u*n + v`` that ``Graph`` stores.  Each
-copy's retention coins are drawn into a bool mask, and each block's kept
-keys are taken straight into place.  A gets an array of its own; B's coins
-are the last draw that reads the parent, so B' is compacted into the
-parent's buffer and cut by ``_trim``.  B is B' relabeled through the
-permutation: B stores the keys of B' with the permutation as their image,
-and maps and sorts them only when a query reads its keys (see ``Graph``).
-A large draw thus peaks while A is selected, at about 13 bytes per parent
-edge: the parent keys, one mask and A.
+oversampled buffer, cut to the slots below C(n, 2), and mapped in place to
+the sorted edge keys ``u*n + v``.  A and B' are those keys under two bool
+masks of retention coins, and B is B' relabeled through the permutation; a
+graph gathers, maps and sorts its keys only when a query reads them (see
+``Graph``).  A draw thus holds about 10 bytes per parent edge: the parent
+keys and the two masks.  Under pi* the intersection graph is the parent's
+keys under both masks, and the goodness test gathers just those.
 
 The O(m) passes of a draw work through their arrays in blocks of
 ``_BLOCK`` elements, so their temporaries stay in cache.  Below p = 1/3
@@ -51,9 +48,9 @@ row runs: the block's first and last entry give its rows, one
 ``repeat`` of a per-row value over those counts gives the row's share of
 every entry.  Slots become keys by adding ``(i+1)(i+2)/2`` to the slots of
 row i, and a key's lower endpoint u is its row, the upper endpoint v its
-key minus ``u*n``.  ``degrees``, ``edges`` and ``neighbors`` keep the
-per-key ``divmod``: on the small graphs of the exhaustive search its one
-call costs less than the runs' several.
+key minus ``u*n``; ``degrees`` counts lower endpoints by row runs.  ``edges``
+and ``neighbors`` keep the per-key ``divmod``: on the small graphs of the
+exhaustive search its one call costs less than the runs' several.
 """
 
 from __future__ import annotations
@@ -229,23 +226,27 @@ def kl_divergence(p: PairDistribution, q_dist: PairDistribution) -> float:
 class Graph:
     """Undirected simple graph on n labeled nodes, 0-indexed.
 
-    Stored as sorted int64 edge keys ``u*n + v`` (u < v), one per edge, and
-    an image array: the graph's edges are the stored edges mapped through
-    the image, or the stored edges themselves when the image is None.
-    ``relabeled`` stores its source's keys with the composed image; the
-    first query that reads the keys maps and sorts them and stores them
-    with no image.  Per-node neighbor arrays are built on the first call to
-    ``neighbors``.  The keys and their image share one slot, replaced in a
-    single assignment, so the graph never changes as seen from outside and
-    is safe to share across threads and processes.
+    Stored as sorted int64 edge keys ``u*n + v`` (u < v), a bool mask and
+    an image array: the graph's edges are the keys the mask keeps, mapped
+    through the image (a mask or image of None keeps or maps nothing).
+    ``relabeled`` stores its source's keys and mask with the composed image;
+    ``num_edges`` counts the mask, and the first query that reads the keys
+    gathers, maps and sorts them and stores them alone.  Per-node neighbor
+    arrays are built on the first call to ``neighbors``.  The keys, mask and
+    image share one slot, replaced in a single assignment, so the graph
+    never changes as seen from outside and is safe to share across threads
+    and processes.
     """
 
     __slots__ = ("n", "_stored", "_adjacency")
 
-    def __init__(self, n: int, keys: np.ndarray, image: np.ndarray | None = None):
+    def __init__(
+        self, n: int, keys: np.ndarray,
+        mask: np.ndarray | None = None, image: np.ndarray | None = None,
+    ):
         self.n = int(n)
         keys.setflags(write=False)
-        self._stored = (keys, image)
+        self._stored = (keys, mask, image)
         self._adjacency: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction --------------------------------------------------
@@ -288,7 +289,8 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return self._stored[0].size
+        keys, mask, _ = self._stored
+        return keys.size if mask is None else int(np.count_nonzero(mask))
 
     def degrees(self) -> np.ndarray:
         return _endpoint_degrees(self.edge_keys().copy(), self.n)
@@ -322,11 +324,15 @@ class Graph:
 
     def edge_keys(self) -> np.ndarray:
         """Sorted int64 keys u*n+v (u < v) of all edges, read-only."""
-        keys, image = self._stored
+        keys, mask, image = self._stored
+        if mask is None and image is None:
+            return keys
+        if mask is not None:
+            keys = _gather(keys, mask)
         if image is not None:
             keys = _map_keys(keys, image, self.n)
-            keys.setflags(write=False)
-            self._stored = (keys, None)
+        keys.setflags(write=False)
+        self._stored = (keys, None, None)
         return keys
 
     def density(self) -> float:
@@ -336,14 +342,14 @@ class Graph:
         """New graph with every edge (u, v) mapped to (image[u], image[v]).
 
         ``image`` is a Permutation of the n nodes, or an image list that
-        makes one.  The new graph shares this graph's stored keys; they are
-        mapped and sorted when a query first reads them.
+        makes one.  The new graph shares this graph's stored keys and mask;
+        they are gathered, mapped and sorted when a query first reads them.
         """
         pi = image if isinstance(image, Permutation) else Permutation(image)
         if len(pi) != self.n:
             raise ParameterError(f"relabeling must be a bijection on the {self.n} nodes")
-        keys, first = self._stored
-        return Graph(self.n, keys, pi.as_array() if first is None else pi.as_array()[first])
+        keys, mask, first = self._stored
+        return Graph(self.n, keys, mask, pi.as_array() if first is None else pi.as_array()[first])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -379,10 +385,11 @@ def _map_keys(keys: np.ndarray, image: np.ndarray, n: int) -> np.ndarray:
 
 
 def _matched_keys(g_a: Graph, g_b: Graph, pi: Permutation) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted keys, in the labels B's keys are stored in, of the A edges {u, v}
-    with {pi(u), pi(v)} in B, and ``tau``, B's image inverted after ``pi``,
-    which takes A's labels to those.  An identity ``tau`` (pi* on a generated
-    instance) needs neither map nor sort: A's own keys are merged."""
+    """Sorted keys (a new array), in the labels B's keys are stored in, of the A
+    edges {u, v} with {pi(u), pi(v)} in B, and ``tau``, B's image inverted
+    after ``pi``, which takes A's labels to those.  When A and B mask the same
+    keys, A has no image and ``tau`` is the identity (pi* on a generated
+    instance), the matches are the keys both masks keep."""
     n = g_a.n
     if g_b.n != n:
         raise ParameterError(f"graphs disagree on node count: {n} vs {g_b.n}")
@@ -390,16 +397,21 @@ def _matched_keys(g_a: Graph, g_b: Graph, pi: Permutation) -> tuple[np.ndarray, 
     # repeat would read as a match
     if len(pi) != n:
         raise ParameterError(f"relabeling must be a bijection on the {n} nodes")
-    b_keys, b_image = g_b._stored
+    # B's keys, mask and image are read as one tuple: g_a may be g_b, and
+    # reading A's keys replaces that slot
+    b_keys, b_mask, b_image = g_b._stored
     tau = pi.as_array()
     if b_image is not None:
         inverse = np.empty_like(b_image)
         inverse[b_image] = np.arange(n)
         tau = inverse[tau]
-        del inverse  # only tau is held through the merge
-    a_keys = g_a.edge_keys()
-    mapped = a_keys.copy() if np.array_equal(tau, np.arange(n)) else _map_keys(a_keys, tau, n)
-    return _keep_common(mapped, b_keys), tau
+        del inverse  # only tau is held through the gather
+    a_keys, a_mask, a_image = g_a._stored
+    if a_keys is b_keys and a_image is None and np.array_equal(tau, np.arange(n)):
+        return _gather(a_keys, a_mask, b_mask), tau
+    if b_mask is not None:
+        b_keys = _gather(b_keys, b_mask)
+    return np.intersect1d(_map_keys(g_a.edge_keys(), tau, n), b_keys, assume_unique=True), tau
 
 
 def _er_edge_slots(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -430,16 +442,11 @@ def _er_edge_slots(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
         chunks.append(positions)
     slots = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     del chunks, positions, gaps  # no view of the buffer may outlive its resize
-    return _trim(slots, int(slots.searchsorted(total)))
-
-
-def _trim(buffer: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` entries of ``buffer``: a view below ``_TRIM_MIN_BYTES``,
-    else ``buffer``, which must own its data, shrunk in place to free its tail."""
-    if buffer.nbytes < _TRIM_MIN_BYTES:
-        return buffer[:count]
-    buffer.resize(count, refcheck=False)
-    return buffer
+    count = int(slots.searchsorted(total))
+    if slots.nbytes < _TRIM_MIN_BYTES:
+        return slots[:count]
+    slots.resize(count, refcheck=False)
+    return slots
 
 
 def _geometric_gaps(rng: np.random.Generator, p: float, out: np.ndarray, cap: int) -> np.ndarray:
@@ -470,63 +477,47 @@ def _geometric_gaps(rng: np.random.Generator, p: float, out: np.ndarray, cap: in
     return out
 
 
-def _select(
-    rng: np.random.Generator, keys: np.ndarray, s: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``keys[rng.random(keys.size) < s]``: a new array, or with ``out=keys``
-    the front of ``keys`` cut by ``_trim``.  The coins are drawn block by
-    block into a bool mask; each block's kept keys are then taken straight
-    into place.  A block keeps no more keys than it holds, so writes into
-    ``keys`` never overtake the entries read later."""
-    keep = np.empty(keys.size, dtype=bool)
-    draws = np.empty(min(keys.size, _BLOCK))
-    for start in range(0, keys.size, _BLOCK):
+def _coins(rng: np.random.Generator, size: int, s: float) -> np.ndarray:
+    """``rng.random(size) < s``, drawn block by block into a bool mask."""
+    keep = np.empty(size, dtype=bool)
+    draws = np.empty(min(size, _BLOCK))
+    for start in range(0, size, _BLOCK):
         chunk = keep[start : start + _BLOCK]
         u = draws[: chunk.size]
         rng.random(out=u)
         np.less(u, s, out=chunk)
-    kept = np.empty(np.count_nonzero(keep), dtype=keys.dtype) if out is None else out
+    return keep
+
+
+def _gather(keys: np.ndarray, *masks: np.ndarray | None) -> np.ndarray:
+    """The ``keys`` that every mask keeps (None keeps all), in a new array of
+    their exact size.  The masks are combined a block at a time, once to
+    count the kept keys and once to take them."""
+    masks = [mask for mask in masks if mask is not None] or [np.ones(keys.size, dtype=bool)]
+
+    def kept(start):
+        keep = masks[0][start : start + _BLOCK]
+        for mask in masks[1:]:
+            keep = keep & mask[start : start + _BLOCK]
+        return keep
+
+    starts = range(0, keys.size, _BLOCK)
+    out = np.empty(sum(np.count_nonzero(kept(start)) for start in starts), dtype=keys.dtype)
     end = 0
-    for start in range(0, keys.size, _BLOCK):
-        # compress(out=) fills a copy of out; take in "clip" mode writes out
-        # itself, unless it overlaps the block
-        hits = keep[start : start + _BLOCK].nonzero()[0]
-        keys[start : start + _BLOCK].take(hits, out=kept[end : end + hits.size], mode="clip")
+    for start in starts:
+        # compress(out=) fills a copy of out; take in "clip" mode writes out itself
+        hits = kept(start).nonzero()[0]
+        keys[start : start + _BLOCK].take(hits, out=out[end : end + hits.size], mode="clip")
         end += hits.size
-    return kept if out is None else _trim(out, end)
-
-
-def _keep_common(keys: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Shrink the sorted unique ``keys`` in place to the values also in the
-    sorted unique ``other``; returns ``keys``.  Each block of ``keys`` is
-    merged with the run of ``other`` in its value range, and its matches,
-    no more than its entries, are written to the front of ``keys``."""
-    found = 0
-    for start in range(0, keys.size, _BLOCK):
-        block = keys[start : start + _BLOCK]
-        lo, hi = other.searchsorted((block[0], block[-1] + 1))
-        hits = _common(block, other[lo:hi])
-        keys[found : found + hits.size] = hits
-        found += hits.size
-        del block  # no view of the buffer may outlive its resize
-    keys.resize(found, refcheck=False)
-    return keys
-
-
-def _common(block: np.ndarray, run: np.ndarray) -> np.ndarray:
-    """The values of the sorted unique ``block`` also in the sorted unique ``run``."""
-    merged = np.concatenate((block, run))
-    merged.sort(kind="stable")  # a merge of the two sorted runs
-    later = merged[1:]
-    return later.compress(later == merged[:-1])  # about 3x faster than boolean indexing
+    return out
 
 
 def _endpoint_degrees(keys: np.ndarray, n: int) -> np.ndarray:
-    """Degree of each of the n nodes over the edge ``keys``, which are
+    """Degree of each of the n nodes over the sorted edge ``keys``, which are
     overwritten with the edges' upper endpoints."""
-    u = np.empty_like(keys)
-    np.divmod(keys, n, out=(u, keys))
-    return np.bincount(u, minlength=n) + np.bincount(keys, minlength=n)
+    lower = _run_lengths(keys, np.arange(n + 1, dtype=np.int64) * n)
+    keys %= n
+    return lower + np.bincount(keys, minlength=n)
 
 
 def _run_lengths(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
@@ -593,9 +584,8 @@ def generate(params: ModelParams, seed: int) -> CorrelatedInstance:
     n = params.n
     rng = make_rng(seed)
     keys = _slots_to_keys(_er_edge_slots(n, params.parent_p, rng), n)
-    g_a = Graph(n, _select(rng, keys, params.s))
-    # the last draw that reads the parent: B' takes over its buffer
-    b_prime = Graph(n, _select(rng, keys, params.s, out=keys))
+    g_a = Graph(n, keys, _coins(rng, keys.size, params.s))
+    b_prime = Graph(n, keys, _coins(rng, keys.size, params.s))
     pi_star = Permutation(rng.permutation(n))
     g_b = b_prime.relabeled(pi_star)
     return CorrelatedInstance(g_a=g_a, g_b=g_b, pi_star=pi_star, params=params, seed=seed)

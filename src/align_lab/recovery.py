@@ -8,18 +8,13 @@ parameters) when at least n*(1+alpha)/2 nodes of that intersection graph
 have degree >= n*q*s/2.  Both thresholds are kept as exact reals and
 compared against integer degrees without rounding.
 
-Every intersection query maps A's edge keys into the labels that B's keys
-are stored in (see ``model.Graph``) and sorts them, O(m_A log m_A) per
-permutation.  The map is tau, B's image inverted after the permutation.
-Under pi* on a generated instance tau is the identity, since B stores the
-keys of B' with pi* as their image, and a copy of A's sorted keys is used
-as it is.  Each block of them is merged with B's stored keys in its value
-range, its matches (the entries equal to their neighbour) go to the front
-of the copy, and the copy is shrunk to them; their degrees are indexed by
-tau back into A's labels.  This is exact because neither side repeats a key
-(A's keys are unique and tau is a bijection, B's keys are unique), so a key
-appears at most twice, once from each side, and two equal neighbours are
-always one A edge landing on one B edge.
+Every intersection query finds the matched edges in the labels B's keys
+are stored in (see ``model.Graph``) through tau, B's image inverted after
+the permutation, and indexes their degrees by tau back into A's labels.
+Under pi* on a generated instance tau is the identity and A and B' are
+coin masks over one parent's keys: the matches are the keys both masks
+keep, gathered in one O(m) pass with neither map nor sort.  Any other
+permutation maps A's keys through tau and intersects them with B's by a sort.
 
 The exhaustive routines enumerate image lists in lexicographic order and
 evaluate them in vectorized batches; results are reported as if the scan

@@ -213,9 +213,12 @@ def test_relabeled_matches_from_edges_and_round_trips(case, block):
 
 
 @st.composite
-def _graph_and_two_images(draw):
+def _graph_two_images_and_mask(draw):
     graph, first = draw(_graph_and_image())
-    return graph, first, np.array(draw(st.permutations(range(graph.n))), dtype=np.int64)
+    second = np.array(draw(st.permutations(range(graph.n))), dtype=np.int64)
+    m = graph.num_edges
+    mask = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
+    return graph, first, second, mask
 
 
 def _answers(g: Graph) -> list:
@@ -234,41 +237,59 @@ def _answers(g: Graph) -> list:
 
 
 @settings(max_examples=200, deadline=None)
-@given(_graph_and_two_images(), _BLOCKS)
+@given(_graph_two_images_and_mask(), _BLOCKS)
 def test_deferred_relabel_answers_like_from_edges(case, block):
-    # a relabeled graph stores its source's keys and the (composed) image;
-    # every query must answer as the graph built from the mapped edges
-    g, first, second = case
-    once = Graph.from_edges(g.n, first[g.edges()])
-    twice = Graph.from_edges(g.n, second[first[g.edges()]])
-    mapped = []
-    map_keys = model._map_keys
+    # a relabeled graph stores its source's keys and mask and the (composed)
+    # image; every query must answer as the graph built from its edges
+    g, first, second, mask = case
+    m, kept = g.num_edges, g.edges()[mask]
+    calls = []
+    map_keys, gather = model._map_keys, model._gather
 
-    def spy(keys, image, n):
-        mapped.append(keys.size)
+    def map_spy(keys, image, n):
+        calls.append(("map", keys.size))
         return map_keys(keys, image, n)
 
+    def gather_spy(keys, *masks):
+        calls.append(("gather", keys.size))
+        return gather(keys, *masks)
+
+    def masked():
+        return Graph(g.n, g.edge_keys(), mask.copy())
+
+    def round_trip(h):
+        return pickle.loads(pickle.dumps(h))
+
+    once, twice = first[g.edges()], second[first[g.edges()]]
+    kept_once, kept_twice = first[kept], second[first[kept]]
+    gathered, gathered_mapped = [("gather", m)], [("gather", m), ("map", len(kept))]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_BLOCK", block)
-        mp.setattr(model, "_map_keys", spy)
-        for make, expected in (
-            (lambda: g.relabeled(first), once),
-            (lambda: g.relabeled(first).relabeled(second), twice),
-            (lambda: pickle.loads(pickle.dumps(g.relabeled(first).relabeled(second))), twice),
+        mp.setattr(model, "_map_keys", map_spy)
+        mp.setattr(model, "_gather", gather_spy)
+        for make, edges, reads in (
+            (lambda: g.relabeled(first), once, [("map", m)]),
+            (lambda: g.relabeled(first).relabeled(second), twice, [("map", m)]),
+            (lambda: round_trip(g.relabeled(first).relabeled(second)), twice, [("map", m)]),
+            (masked, kept, gathered),
+            (lambda: masked().relabeled(first), kept_once, gathered_mapped),
+            (lambda: masked().relabeled(first).relabeled(second), kept_twice, gathered_mapped),
+            (lambda: round_trip(masked().relabeled(first).relabeled(second)), kept_twice, gathered_mapped),
         ):
+            expected = Graph.from_edges(g.n, edges)
             want = _answers(expected)
-            mapped.clear()
-            assert make().num_edges == want[0] and not mapped  # no map, no sort
+            calls.clear()
+            assert make().num_edges == want[0] and not calls  # no gather, map or sort
             for i, answer in enumerate(want):
-                # each query on a fresh graph, so each one maps the keys itself
+                # each query on a fresh graph, so each one reads the keys itself
                 assert _answers(make())[i] == answer
             h = make()
             assert h == expected and expected == h and hash(h) == hash(expected)
-            assert pickle.loads(pickle.dumps(h)) == expected
-            # the first query maps the composed image once; later ones reuse the keys
-            mapped.clear()
+            assert round_trip(h) == expected
+            # the first query gathers and maps once; later ones reuse the keys
+            calls.clear()
             _answers(make())
-            assert mapped == [g.num_edges]
+            assert calls == reads
 
 
 def test_deferred_keys_read_by_threads_at_once():
@@ -397,44 +418,72 @@ def test_geometric_gaps_match_numpy(p, size):
     assert drawn.random() == reference.random()
 
 
-_SELECT_SIZES = [0, 1, model._BLOCK - 1, model._BLOCK, model._BLOCK + 1, 3 * model._BLOCK + 5]
+def _block_sizes(block: int) -> list[int]:
+    """Sizes around one and three blocks, and the empty and single cases."""
+    return [0, 1, block - 1, block, block + 1, 3 * block + 5]
+
+
+_SELECT_SIZES = _block_sizes(model._BLOCK)
 
 
 @pytest.mark.parametrize("size", _SELECT_SIZES)
 def test_select_matches_whole_array_coins(size):
-    # the same kept keys as one whole-array coin draw, and the same state after
+    # the same coins and kept keys as one whole-array coin draw, and the same state after
     keys = np.arange(size, dtype=np.int64) * 3 + 1
     drawn, reference = make_rng(5), make_rng(5)
-    kept = model._select(drawn, keys, 0.5)
-    expected = keys[reference.random(keys.size) < 0.5]
-    assert kept.dtype == np.int64 and np.array_equal(kept, expected)
+    coins = model._coins(drawn, size, 0.5)
+    expected = reference.random(size) < 0.5
+    assert coins.dtype == bool and np.array_equal(coins, expected)
     assert drawn.random() == reference.random()
+    kept = model._gather(keys, coins)
+    assert kept.dtype == np.int64 and np.array_equal(kept, keys[expected])
+
+
+@pytest.mark.parametrize("index", range(len(_SELECT_SIZES)))
+@pytest.mark.parametrize("block", [model._BLOCK, 1, 3, 7])
+def test_gather_matches_boolean_index(block, index, monkeypatch):
+    # one mask, two masks and None (keeps all), at block boundaries of each block size
+    size = _block_sizes(block)[index]
+    rng = make_rng(size)
+    keys = np.arange(size, dtype=np.int64) * 3 + 1
+    first, second = rng.random(size) < 0.5, rng.random(size) < 0.7
+    monkeypatch.setattr(model, "_BLOCK", block)
+    for masks, keep in (
+        ((first,), first),
+        ((first, second), first & second),
+        ((None, second), second),
+        ((None,), np.ones(size, dtype=bool)),
+    ):
+        kept = model._gather(keys, *masks)
+        assert kept.dtype == np.int64 and np.array_equal(kept, keys[keep])
+        assert kept.base is None and not np.shares_memory(kept, keys)
 
 
 @pytest.mark.parametrize("owned", [True, False], ids=["owned-resize", "view"])
 @pytest.mark.parametrize("size", _GAP_SIZES)
-def test_select_in_place_matches_whole_array_coins(size, owned, monkeypatch):
-    # out=keys compacts the kept keys into the front of keys: an owned buffer
-    # at _TRIM_MIN_BYTES is shrunk in place, a view below it is cut to a view
-    buffer = np.arange(size + 9, dtype=np.int64) * 3 + 1
-    keys = buffer[:size].copy() if owned else buffer[:size]
-    monkeypatch.setattr(model, "_TRIM_MIN_BYTES", keys.nbytes + (0 if owned else 1))
+def test_slot_draw_trims_to_the_parent_keys(size, owned, monkeypatch):
+    # a slot buffer of ``size`` entries (int(C(n, 2) p 1.2) + 64) is shrunk in
+    # place to its used part from _TRIM_MIN_BYTES on, and cut to a view of it
+    # below; both give the parent's keys
+    n = 2000
+    p = (size - 63.5) / (1.2 * math.comb(n, 2))
+    monkeypatch.setattr(model, "_TRIM_MIN_BYTES", 0 if owned else size * 8 + 1)
     drawn, reference = make_rng(5), make_rng(5)
-    expected = keys[reference.random(keys.size) < 0.5]
-    kept = model._select(drawn, keys, 0.5, out=keys)
-    assert kept.dtype == np.int64 and np.array_equal(kept, expected)
+    slots = _er_edge_slots(n, p, drawn)
+    expected = _parent_keys_by_geometric(n, p, reference)
+    assert np.array_equal(_slots_to_keys(slots, n), expected)
     assert drawn.random() == reference.random()
     if owned:
-        assert kept is keys and keys.size == expected.size
+        assert slots.flags.owndata and slots.size == expected.size
     else:
-        assert kept.base is buffer and keys.size == size
+        assert slots.base.size == size and slots.size == expected.size
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])
 @pytest.mark.parametrize("params", [ModelParams(300, 0.02, 0.5), ModelParams(60, 0.2, 0.5)])
 def test_generate_does_not_depend_on_the_block(params, block, monkeypatch):
     # parent p = 0.04 (inversion) and 0.4 (search): row runs straddle every
-    # block, and so do the matches the goodness test compacts
+    # block, and so do the matches the goodness test gathers
     default = generate(params, seed=4)
     report = is_good(default.g_a, default.g_b, default.pi_star, params, 0.5)
     monkeypatch.setattr(model, "_BLOCK", block)
@@ -495,10 +544,12 @@ def test_generate_relabel_consistency():
 
 
 def test_generate_peak_memory_per_parent_edge():
-    # n = 20000, nqs = 130: 5.2 M parent edges.  The peak is the select of
-    # A: the parent keys (8 B per parent edge, the slot buffer trimmed to
-    # them), the coin mask (1) and A (4); B' is compacted into the parent's
-    # buffer.  B' gathered beside the parent and A peaked at 17.1 B.
+    # n = 20000, nqs = 130: 5.2 M parent edges.  The draw holds the parent
+    # keys (8 B per parent edge, the slot buffer trimmed to them) and the two
+    # coin masks (1 each); A and B' are masks over the parent, so nothing is
+    # gathered, and the draw peaks at 10.1 B.  Selecting A beside the parent
+    # and compacting B' into its buffer peaked at 13.1 B, and gathering B'
+    # beside the parent and A at 17.1 B.
     params = ModelParams(20000, 0.013, 0.5)
     parent_edges = _er_edge_slots(params.n, params.parent_p, make_rng(11)).size
     tracemalloc.start()
@@ -507,7 +558,7 @@ def test_generate_peak_memory_per_parent_edge():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 14 * parent_edges
+    assert peak <= 11 * parent_edges
 
 
 def test_generate_marginal_densities():

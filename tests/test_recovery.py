@@ -161,13 +161,27 @@ def _dense_or_sparse_pair(draw, max_n=300):
     return g_a, g_b, Permutation.random(n, make_rng(draw(st.integers(0, 2**32 - 1))))
 
 
-def _stored_forms(g: Graph, pi: Permutation) -> list[tuple[Graph, np.ndarray]]:
-    """B as built, and relabeled from ``g`` through pi (so that the probe's tau
-    is the identity) and through another image (so that it is not), each
-    with the image that takes its stored keys to its labels."""
-    other = pi.as_array()[::-1]
-    identity = np.arange(g.n)
-    return [(g, identity), (g.relabeled(pi), pi.as_array()), (g.relabeled(other), other)]
+def _stored_forms(g_a: Graph, g: Graph, pi: Permutation) -> list[tuple]:
+    """A and B in stored forms, each with the image that takes its stored
+    keys to its labels: B is ``g`` as built, and relabeled from ``g``
+    through pi (so that the probe's tau is the identity) and through
+    another image (so that it is not).  The relabeled forms come once with
+    ``g_a`` as built and once as ``generate`` stores A and B': two masks
+    over one parent's keys, here the union of A's and ``g``'s.  Last, A
+    too is relabeled, so that it shares B's keys but not its labels."""
+    n = g.n
+    identity, image, other = np.arange(n), pi.as_array(), pi.as_array()[::-1]
+    parent = np.union1d(g_a.edge_keys(), g.edge_keys())
+
+    def masked(h):
+        return Graph(n, parent, np.isin(parent, h.edge_keys()))
+
+    forms = [(g_a, identity, g, identity)]
+    for x in (image, other):
+        forms.append((g_a, identity, g.relabeled(x), x))
+        forms.append((masked(g_a), identity, masked(g).relabeled(x), x))
+    forms.append((masked(g_a).relabeled(other), other, masked(g).relabeled(image), image))
+    return forms
 
 
 def _in_labels(keys: np.ndarray, n: int, image: np.ndarray) -> np.ndarray:
@@ -175,31 +189,12 @@ def _in_labels(keys: np.ndarray, n: int, image: np.ndarray) -> np.ndarray:
     return np.sort(_mapped_by_divmod(Graph(n, keys.copy()), Permutation(image)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_dense_or_sparse_pair())
-def test_matched_keys_match_searchsorted_probe(case):
-    g_a, g, pi = case
-    for g_b, image in _stored_forms(g, pi):
-        # the probe runs before anything reads B's keys, so it sees B's stored form
-        keys, tau = model._matched_keys(g_a, g_b, pi)
-        expected = _matched_keys_by_probe(g_a, g_b, pi)
-        assert keys.dtype == expected.dtype and np.all(keys[1:] > keys[:-1])
-        assert np.array_equal(_in_labels(keys, g.n, image), expected)
-        # tau takes A's labels to B's stored ones: B's image inverted after pi
-        assert np.array_equal(image[tau], pi.as_array())
-    # B against itself under the identity: every key matches exactly once
-    for g_b, image in _stored_forms(g, pi):
-        keys, tau = model._matched_keys(g_b, g_b, Permutation.identity(g.n))
-        assert np.array_equal(_in_labels(keys, g.n, image), g_b.edge_keys())
-        assert np.array_equal(image[tau], np.arange(g.n))
-
-
 _K6, _EMPTY6 = Graph.complete(6), Graph.empty(6)
 _K40 = Graph.complete(40)
 _ONE40 = Graph.from_edges(40, [(3, 17)])
 _IDENTITY6, _REVERSE6 = Permutation.identity(6), Permutation([5, 4, 3, 2, 1, 0])
 _DISJOINT6 = (Graph.from_edges(6, [(0, 1), (2, 3)]), Graph.from_edges(6, [(0, 2), (1, 3)]))
-# A's keys all lie below B's: every block's run of B is empty
+# A's keys all lie below B's
 _LOW_HIGH6 = (
     Graph.from_edges(6, [(0, 1), (0, 2), (1, 2)]),
     Graph.from_edges(6, [(3, 4), (3, 5), (4, 5)]),
@@ -207,41 +202,46 @@ _LOW_HIGH6 = (
 
 
 @settings(max_examples=200, deadline=None)
-@given(_dense_or_sparse_pair(max_n=40), st.sampled_from([model._BLOCK, 1, 3, 7]))
-@example((_EMPTY6, _K6, _IDENTITY6), 1)  # empty A
-@example((_K6, _EMPTY6, _IDENTITY6), 1)  # empty B
-@example((*_DISJOINT6, _IDENTITY6), 1)  # no match
-@example((*_LOW_HIGH6, _IDENTITY6), 1)  # disjoint key ranges
-@example((*_LOW_HIGH6[::-1], _IDENTITY6), 2)
-@example((_ONE40, _K40, Permutation.identity(40)), 1)  # m_A << m_B
-@example((_K40, _ONE40, Permutation.identity(40)), 7)  # m_A >> m_B
-@example((_K6, _K6, _REVERSE6), 1)  # every edge matches
-@example((_K6, _K6, _REVERSE6), 3)
-def test_matched_keys_match_intersect1d_for_any_block(case, block):
-    # A's sorted keys are walked in blocks, each merged with its run of B's stored keys
+@given(_dense_or_sparse_pair())
+@example((_EMPTY6, _K6, _IDENTITY6))  # empty A
+@example((_K6, _EMPTY6, _IDENTITY6))  # empty B
+@example((*_DISJOINT6, _IDENTITY6))  # no match
+@example((*_LOW_HIGH6, _IDENTITY6))  # disjoint key ranges
+@example((*_LOW_HIGH6[::-1], _IDENTITY6))
+@example((_ONE40, _K40, Permutation.identity(40)))  # m_A << m_B
+@example((_K40, _ONE40, Permutation.identity(40)))  # m_A >> m_B
+@example((_K6, _K6, _REVERSE6))  # every edge matches
+def test_matched_keys_match_searchsorted_probe(case):
     g_a, g, pi = case
-    common = model._common
-    for g_b, image in _stored_forms(g, pi):
-        merges = []
+    for a, _, b, image in _stored_forms(g_a, g, pi):
+        # the probe runs before anything reads A's or B's keys, so it sees their stored forms
+        keys, tau = model._matched_keys(a, b, pi)
+        expected = _matched_keys_by_probe(a, b, pi)
+        assert keys.dtype == expected.dtype and np.all(keys[1:] > keys[:-1])
+        assert np.array_equal(_in_labels(keys, g.n, image), expected)
+        # tau takes A's labels to B's stored ones: B's image inverted after pi
+        assert np.array_equal(image[tau], pi.as_array())
+    # each graph against itself under the identity: every key matches exactly once
+    for a, a_image, b, image in _stored_forms(g_a, g, pi):
+        for x, x_image in ((a, a_image), (b, image)):
+            keys, tau = model._matched_keys(x, x, Permutation.identity(g.n))
+            assert np.array_equal(_in_labels(keys, g.n, x_image), x.edge_keys())
+            assert np.array_equal(x_image[tau], np.arange(g.n))
 
-        def spy(block_keys, run):
-            merges.append((block_keys.size, run.size))
-            return common(block_keys, run)
 
+@settings(max_examples=200, deadline=None)
+@given(_dense_or_sparse_pair(max_n=40), st.sampled_from([model._BLOCK, 1, 3, 7]))
+def test_matched_keys_match_intersect1d_for_any_block(case, block):
+    # the masks are gathered, and A's keys mapped, in blocks of any size
+    g_a, g, pi = case
+    for a, _, b, image in _stored_forms(g_a, g, pi):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "_BLOCK", block)
-            mp.setattr(model, "_common", spy)
-            keys, tau = model._matched_keys(g_a, g_b, pi)
-        expected = np.intersect1d(_mapped_by_divmod(g_a, pi), g_b.edge_keys(), assume_unique=True)
+            keys, tau = model._matched_keys(a, b, pi)
+        expected = np.intersect1d(_mapped_by_divmod(a, pi), b.edge_keys(), assume_unique=True)
         assert keys.dtype == np.int64 and np.all(keys[1:] > keys[:-1])
         assert np.array_equal(_in_labels(keys, g.n, image), expected)
         assert np.array_equal(image[tau], pi.as_array())
-        # the patched block size reaches the walk, whose merges stay within m_A + m_B;
-        # the blocks' value ranges are disjoint, so B's runs are too
-        m_a, m_b = g_a.num_edges, g_b.num_edges
-        assert len(merges) == -(-m_a // block)
-        assert all(size <= block and size + run <= m_a + m_b for size, run in merges)
-        assert sum(run for _, run in merges) <= m_b
 
 
 # -- goodness -----------------------------------------------------------------
@@ -274,9 +274,10 @@ def test_is_good_histogram_covers_all_nodes():
 
 
 def test_is_good_extra_peak_memory_per_parent_edge():
-    # n = 20000, nqs = 130: 5.2 M parent edges.  The peak is A's sorted
-    # mapped keys (4 B per parent edge), merged with B block by block and
-    # shrunk to the matches.  One buffer of m_A + m_B keys peaked at 8.2 B.
+    # n = 20000, nqs = 130: 5.2 M parent edges.  The peak is the matches,
+    # the parent keys under both coin masks (2 B per parent edge), gathered
+    # into an array of their size: 2.1 B.  A copy of A's keys merged with B'
+    # block by block peaked at 4.2 B, one buffer of m_A + m_B keys at 8.2 B.
     params = ModelParams(20000, 0.013, 0.5)
     parent_edges = _er_edge_slots(params.n, params.parent_p, make_rng(11)).size
     inst = generate(params, 11)
@@ -287,25 +288,32 @@ def test_is_good_extra_peak_memory_per_parent_edge():
     finally:
         tracemalloc.stop()
     assert report.is_good
-    assert peak <= 5 * parent_edges
+    assert peak <= 3 * parent_edges
 
 
 def test_pistar_trial_neither_maps_nor_sorts_b_or_a():
-    # B stores the keys of B' with pi* as their image, so under pi* the probe merges
-    # A's sorted keys with them as they are; B stays unmapped after the trial
+    # A and B' are masks over one parent and B stores B' with pi* as its image,
+    # so under pi* the probe gathers the parent keys both masks keep: it maps
+    # and sorts nothing, and B stays unmapped after the trial
     params = ModelParams(2000, 0.02, 0.5)
-    mapped = []
-    map_keys = model._map_keys
+    calls = []
+    map_keys, intersect1d = model._map_keys, np.intersect1d
 
-    def spy(keys, image, n):
-        mapped.append(keys.size)
+    def map_spy(keys, image, n):
+        calls.append("map")
         return map_keys(keys, image, n)
 
+    def intersect_spy(*args, **kwargs):
+        calls.append("intersect1d")
+        return intersect1d(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model, "_map_keys", spy)
+        mp.setattr(model, "_map_keys", map_spy)
+        mp.setattr(np, "intersect1d", intersect_spy)
         inst = generate(params, 11)
         report = is_good(inst.g_a, inst.g_b, inst.pi_star, params, 0.5)
-        assert mapped == [] and inst.g_b._stored[1] is not None
+        _, _, image = inst.g_b._stored
+        assert calls == [] and image is not None
     built = Graph.from_edges(params.n, inst.g_b.edges())
     assert report == is_good(inst.g_a, built, inst.pi_star, params, 0.5)
 
@@ -329,10 +337,12 @@ def test_pistar_trial_resident_memory_per_parent_edge():
     # tracemalloc counts allocations, not resident pages, and resident pages
     # are what the benchmark's peak_rss_mb reads: a view that kept the slot
     # buffer's oversampled tail resident showed only here.  One trial grows
-    # 14.6 B per parent edge (18.6 with B' beside the parent and the m_A + m_B
-    # probe buffer, 25.1 with that view and compress's index).  Resident pages
-    # depend on numpy's allocator and on the C library, and the 1.4 B of
-    # headroom was measured with numpy 2.4.6 only.
+    # 13.5 B per parent edge, 12 of them the parent keys, its two coin masks
+    # and the gathered matches (14.6 with A selected and B' compacted into
+    # the parent, 18.6 with B' beside the parent and the m_A + m_B probe
+    # buffer, 25.1 with that view and compress's index).
+    # Resident pages depend on numpy's allocator and on the C library, and
+    # the 1.5 B of headroom was measured with numpy 2.4.6 only.
     pytest.importorskip("resource")
     if np.__version__ != "2.4.6":
         pytest.skip("resident growth measured with numpy 2.4.6 only")
@@ -349,7 +359,7 @@ def test_pistar_trial_resident_memory_per_parent_edge():
     )
     before, after = map(int, out.stdout.split())
     unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in kB on Linux
-    assert (after - before) * unit <= 16 * parent_edges
+    assert (after - before) * unit <= 15 * parent_edges
 
 
 def test_is_good_alpha_validation():
