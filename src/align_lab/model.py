@@ -384,34 +384,32 @@ def _map_keys(keys: np.ndarray, image: np.ndarray, n: int) -> np.ndarray:
     return mapped
 
 
-def _matched_keys(g_a: Graph, g_b: Graph, pi: Permutation) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted keys (a new array), in the labels B's keys are stored in, of the A
-    edges {u, v} with {pi(u), pi(v)} in B, and ``tau``, B's image inverted
-    after ``pi``, which takes A's labels to those.  When A and B mask the same
-    keys, A has no image and ``tau`` is the identity (pi* on a generated
-    instance), the matches are the keys both masks keep."""
+def _matched_keys(g_a: Graph, g_b: Graph, pi: Permutation) -> np.ndarray:
+    """Sorted keys (a new array) of the A edges {u, v} with {pi(u), pi(v)}
+    in B, found in A's labels: B's keys are read through B's image and then
+    pi's inverse.  When A and B mask the same keys and neither read maps
+    them (pi* on a generated instance), the matches are the keys both masks
+    keep."""
     n = g_a.n
     if g_b.n != n:
         raise ParameterError(f"graphs disagree on node count: {n} vs {g_b.n}")
-    # a pi of another length could map two A edges onto one key: that
+    # a pi of another length could map two B edges onto one key: that
     # repeat would read as a match
     if len(pi) != n:
         raise ParameterError(f"relabeling must be a bijection on the {n} nodes")
     # B's keys, mask and image are read as one tuple: g_a may be g_b, and
     # reading A's keys replaces that slot
     b_keys, b_mask, b_image = g_b._stored
-    tau = pi.as_array()
+    image = np.empty(n, dtype=np.int64)
+    image[pi.as_array()] = np.arange(n)
     if b_image is not None:
-        inverse = np.empty_like(b_image)
-        inverse[b_image] = np.arange(n)
-        tau = inverse[tau]
-        del inverse  # only tau is held through the gather
+        image = image[b_image]
     a_keys, a_mask, a_image = g_a._stored
-    if a_keys is b_keys and a_image is None and np.array_equal(tau, np.arange(n)):
-        return _gather(a_keys, a_mask, b_mask), tau
-    if b_mask is not None:
-        b_keys = _gather(b_keys, b_mask)
-    return np.intersect1d(_map_keys(g_a.edge_keys(), tau, n), b_keys, assume_unique=True), tau
+    if a_keys is b_keys and a_image is None and np.array_equal(image, np.arange(n)):
+        return _gather(a_keys, a_mask, b_mask)
+    return np.intersect1d(
+        g_a.edge_keys(), Graph(n, b_keys, b_mask, image).edge_keys(), assume_unique=True
+    )
 
 
 def _er_edge_slots(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -450,31 +448,23 @@ def _er_edge_slots(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def _geometric_gaps(rng: np.random.Generator, p: float, out: np.ndarray, cap: int) -> np.ndarray:
-    """Fill ``out`` with ``np.minimum(rng.geometric(p, out.size), cap)``, block
-    by block; returns ``out``.
+    """Fill ``out`` with ``np.minimum(rng.geometric(p, out.size), cap)``;
+    returns ``out``.
 
     Below ``_GEOM_SEARCH_MIN_P`` numpy draws each variate as
     ``ceil(E / -log1p(-p))`` from one standard exponential E, saturating at
-    2**63 - 1; the same quotient over a block of exponentials gives the same
+    2**63 - 1; the same quotient over an array of exponentials gives the same
     variates and leaves the generator in the same state.  At and above it
     numpy searches, and ``rng.geometric`` is called as is.  ``cap`` must lie
     below 2**53, so the clip in float is exact and precedes the int64 cast.
     """
-    draws = np.empty(min(out.size, _BLOCK))
-    scale = -math.log1p(-p)
-    for start in range(0, out.size, _BLOCK):
-        chunk = out[start : start + _BLOCK]
-        if p >= _GEOM_SEARCH_MIN_P:
-            np.minimum(rng.geometric(p, size=chunk.size), cap, out=chunk)
-            continue
-        e = draws[: chunk.size]
-        rng.standard_exponential(out=e)
-        with np.errstate(over="ignore"):  # a subnormal p overflows to inf, clipped below
-            e /= scale
-        np.ceil(e, out=e)
-        np.minimum(e, cap, out=e)
-        chunk[...] = e
-    return out
+    if p >= _GEOM_SEARCH_MIN_P:
+        return np.minimum(rng.geometric(p, size=out.size), cap, out=out)
+    e = rng.standard_exponential(out.size)
+    with np.errstate(over="ignore"):  # a subnormal p overflows to inf, clipped below
+        e /= -math.log1p(-p)
+    np.ceil(e, out=e)
+    return np.minimum(e, cap, out=out, casting="unsafe")
 
 
 def _coins(rng: np.random.Generator, size: int, s: float) -> np.ndarray:

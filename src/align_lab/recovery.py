@@ -8,13 +8,13 @@ parameters) when at least n*(1+alpha)/2 nodes of that intersection graph
 have degree >= n*q*s/2.  Both thresholds are kept as exact reals and
 compared against integer degrees without rounding.
 
-Every intersection query finds the matched edges in the labels B's keys
-are stored in (see ``model.Graph``) through tau, B's image inverted after
-the permutation, and indexes their degrees by tau back into A's labels.
-Under pi* on a generated instance tau is the identity and A and B' are
-coin masks over one parent's keys: the matches are the keys both masks
-keep, gathered in one O(m) pass with neither map nor sort.  Any other
-permutation maps A's keys through tau and intersects them with B's by a sort.
+Every intersection query finds the matched edges in A's labels, reading B
+(see ``model.Graph``) through its image followed by the permutation's
+inverse.  Under pi* on a generated instance that read maps nothing, and A
+and B' are coin masks over one parent's keys: the matches are the keys both
+masks keep, gathered in one O(m) pass with neither map nor sort.  Any other
+permutation maps and sorts B's keys into A's labels and intersects them
+with A's by a sort.
 
 The exhaustive routines enumerate image lists in lexicographic order and
 evaluate them in vectorized batches; results are reported as if the scan
@@ -100,14 +100,12 @@ def _check_same_size(g_a: Graph, g_b: Graph) -> int:
 
 def intersection_degrees(g_a: Graph, g_b: Graph, pi: Permutation) -> np.ndarray:
     """Per-node degrees of the intersection graph, without building it."""
-    keys, tau = _matched_keys(g_a, g_b, pi)
-    return _endpoint_degrees(keys, g_a.n)[tau]
+    return _endpoint_degrees(_matched_keys(g_a, g_b, pi), g_a.n)
 
 
 def intersection_graph(g_a: Graph, g_b: Graph, pi: Permutation) -> Graph:
     """Graph with edge {i, j} iff A has {i, j} and B has {pi(i), pi(j)}."""
-    keys, tau = _matched_keys(g_a, g_b, pi)
-    return Graph(g_a.n, keys).relabeled(np.argsort(tau))
+    return Graph(g_a.n, _matched_keys(g_a, g_b, pi))
 
 
 def is_good(
@@ -280,7 +278,7 @@ def map_estimate(g_a: Graph, g_b: Graph, force_large: bool = False) -> Permutati
 
 def overlap_objective(g_a: Graph, g_b: Graph, pi: Permutation) -> int:
     """Number of edges of A mapped onto edges of B by pi (the MAP objective)."""
-    return int(_matched_keys(g_a, g_b, pi)[0].size)
+    return int(_matched_keys(g_a, g_b, pi).size)
 
 
 def k_core(g: Graph, k: float, peel_order: list[int] | None = None) -> KCoreResult:

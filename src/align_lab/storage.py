@@ -48,7 +48,10 @@ def read_graph(path: str | Path) -> Graph:
     rows = io.StringIO(body)
     try:
         n, m = int(header[0]), int(header[1])
-        data = np.loadtxt(rows, dtype=np.int64, ndmin=2) if m else np.empty((0, 2), np.int64)
+        # loadtxt warns on a blank body; any other body is read whatever m says
+        data = (
+            np.loadtxt(rows, dtype=np.int64, ndmin=2) if body.strip() else np.empty((0, 2), np.int64)
+        )
     except ValueError as exc:
         raise ParameterError(f"{path}: edge file holds a non-integer token ({exc})") from exc
     if data.shape != (m, 2):

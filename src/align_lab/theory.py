@@ -17,7 +17,7 @@ variable only depends on the ceiling of the cut.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -218,6 +218,7 @@ class RecoveryConditions:
     cond_correlation: bool
     cond_sparsity_beta: bool
     cond_sparsity_gamma: bool
+    all_satisfied: bool = field(init=False)
     nqs: float
     mean_degree_threshold: float
     mean_degree_margin: float
@@ -225,9 +226,8 @@ class RecoveryConditions:
     sparsity_beta_margin: float
     sparsity_gamma_margin: float
 
-    @property
-    def all_satisfied(self) -> bool:
-        return all(self.flags())
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "all_satisfied", all(self.flags()))
 
     def flags(self) -> tuple[bool, bool, bool, bool]:
         return (
@@ -413,16 +413,9 @@ class TheoryReport:
     conditions: RecoveryConditions | None
 
     def to_dict(self) -> dict:
-        """The fields in order, with ``params`` flattened to n, q, s and
-        ``all_satisfied`` after the four condition flags."""
+        """The fields in order, with ``params`` flattened to n, q, s."""
         out = asdict(self)
-        out = {**out.pop("params"), **out}
-        if self.conditions is not None:
-            items = list(out["conditions"].items())
-            flags = len(self.conditions.flags())
-            items.insert(flags, ("all_satisfied", self.conditions.all_satisfied))
-            out["conditions"] = dict(items)
-        return out
+        return {**out.pop("params"), **out}
 
 
 def theory_report(

@@ -93,8 +93,8 @@ def test_intersection_queries_match_set_oracle(case):
     g_a, pi = Graph.from_edges(n, edges_a), Permutation(image)
     in_b = {frozenset(e) for e in edges_b}
     inter = {frozenset(e) for e in edges_a if frozenset((image[e[0]], image[e[1]])) in in_b}
-    # B as built, and B stored in other labels with pi (the probe's tau is
-    # the identity) and another image relabeling it to the same edges
+    # B as built, and B stored in other labels with pi (read in A's labels
+    # it maps nothing) and another image relabeling it to the same edges
     e_b = np.array(edges_b, dtype=np.int64).reshape(-1, 2)
     for x in (None, np.array(image), np.array(image[::-1])):
         g_b = Graph.from_edges(n, e_b if x is None else np.argsort(x)[e_b])
@@ -123,7 +123,7 @@ def test_intersection_size_mismatch():
     ids=["intersection_degrees", "intersection_graph", "overlap_objective", "is_good"],
 )
 def test_wrong_length_permutation_is_rejected(query, size):
-    # a longer pi could send two A edges to one key, which would read as a match
+    # a longer pi could send two B edges to one key, which would read as a match
     g = Graph.complete(4)
     with pytest.raises(ParameterError):
         query(g, g, Permutation.identity(size))
@@ -136,13 +136,13 @@ def _mapped_by_divmod(g: Graph, pi: Permutation) -> np.ndarray:
 
 
 def _matched_keys_by_probe(g_a: Graph, g_b: Graph, pi: Permutation) -> np.ndarray:
-    """Oracle: relabel A with divmod, sort, and probe B with searchsorted."""
-    keys = np.sort(_mapped_by_divmod(g_a, pi))
+    """Oracle: A's keys whose divmod image under pi a searchsorted probe finds in B."""
+    keys, mapped = g_a.edge_keys(), _mapped_by_divmod(g_a, pi)
     b_keys = g_b.edge_keys()
     if b_keys.size == 0:
         return keys[:0]
-    pos = np.searchsorted(b_keys, keys)
-    return keys[b_keys[np.minimum(pos, b_keys.size - 1)] == keys]
+    pos = np.searchsorted(b_keys, mapped)
+    return keys[b_keys[np.minimum(pos, b_keys.size - 1)] == mapped]
 
 
 @st.composite
@@ -161,32 +161,26 @@ def _dense_or_sparse_pair(draw, max_n=300):
     return g_a, g_b, Permutation.random(n, make_rng(draw(st.integers(0, 2**32 - 1))))
 
 
-def _stored_forms(g_a: Graph, g: Graph, pi: Permutation) -> list[tuple]:
-    """A and B in stored forms, each with the image that takes its stored
-    keys to its labels: B is ``g`` as built, and relabeled from ``g``
-    through pi (so that the probe's tau is the identity) and through
-    another image (so that it is not).  The relabeled forms come once with
-    ``g_a`` as built and once as ``generate`` stores A and B': two masks
-    over one parent's keys, here the union of A's and ``g``'s.  Last, A
-    too is relabeled, so that it shares B's keys but not its labels."""
+def _stored_forms(g_a: Graph, g: Graph, pi: Permutation) -> list[tuple[Graph, Graph]]:
+    """A and B in stored forms: B is ``g`` as built, and relabeled from
+    ``g`` through pi (so that read in A's labels it maps nothing) and
+    through another image (so that it does).  The relabeled forms come once
+    with ``g_a`` as built and once as ``generate`` stores A and B': two
+    masks over one parent's keys, here the union of A's and ``g``'s.  Last,
+    A too is relabeled, so that it shares B's keys but not its labels."""
     n = g.n
-    identity, image, other = np.arange(n), pi.as_array(), pi.as_array()[::-1]
+    image, other = pi.as_array(), pi.as_array()[::-1]
     parent = np.union1d(g_a.edge_keys(), g.edge_keys())
 
     def masked(h):
         return Graph(n, parent, np.isin(parent, h.edge_keys()))
 
-    forms = [(g_a, identity, g, identity)]
+    forms = [(g_a, g)]
     for x in (image, other):
-        forms.append((g_a, identity, g.relabeled(x), x))
-        forms.append((masked(g_a), identity, masked(g).relabeled(x), x))
-    forms.append((masked(g_a).relabeled(other), other, masked(g).relabeled(image), image))
+        forms.append((g_a, g.relabeled(x)))
+        forms.append((masked(g_a), masked(g).relabeled(x)))
+    forms.append((masked(g_a).relabeled(other), masked(g).relabeled(image)))
     return forms
-
-
-def _in_labels(keys: np.ndarray, n: int, image: np.ndarray) -> np.ndarray:
-    """The sorted keys of the edges ``keys`` mapped through ``image``."""
-    return np.sort(_mapped_by_divmod(Graph(n, keys.copy()), Permutation(image)))
 
 
 _K6, _EMPTY6 = Graph.complete(6), Graph.empty(6)
@@ -213,35 +207,33 @@ _LOW_HIGH6 = (
 @example((_K6, _K6, _REVERSE6))  # every edge matches
 def test_matched_keys_match_searchsorted_probe(case):
     g_a, g, pi = case
-    for a, _, b, image in _stored_forms(g_a, g, pi):
+    for a, b in _stored_forms(g_a, g, pi):
         # the probe runs before anything reads A's or B's keys, so it sees their stored forms
-        keys, tau = model._matched_keys(a, b, pi)
+        keys = model._matched_keys(a, b, pi)
         expected = _matched_keys_by_probe(a, b, pi)
         assert keys.dtype == expected.dtype and np.all(keys[1:] > keys[:-1])
-        assert np.array_equal(_in_labels(keys, g.n, image), expected)
-        # tau takes A's labels to B's stored ones: B's image inverted after pi
-        assert np.array_equal(image[tau], pi.as_array())
+        assert np.array_equal(keys, expected)
     # each graph against itself under the identity: every key matches exactly once
-    for a, a_image, b, image in _stored_forms(g_a, g, pi):
-        for x, x_image in ((a, a_image), (b, image)):
-            keys, tau = model._matched_keys(x, x, Permutation.identity(g.n))
-            assert np.array_equal(_in_labels(keys, g.n, x_image), x.edge_keys())
-            assert np.array_equal(x_image[tau], np.arange(g.n))
+    for forms in _stored_forms(g_a, g, pi):
+        for x in forms:
+            keys = model._matched_keys(x, x, Permutation.identity(g.n))
+            assert np.array_equal(keys, x.edge_keys())
 
 
 @settings(max_examples=200, deadline=None)
 @given(_dense_or_sparse_pair(max_n=40), st.sampled_from([model._BLOCK, 1, 3, 7]))
 def test_matched_keys_match_intersect1d_for_any_block(case, block):
-    # the masks are gathered, and A's keys mapped, in blocks of any size
+    # the masks are gathered, and B's keys mapped, in blocks of any size
     g_a, g, pi = case
-    for a, _, b, image in _stored_forms(g_a, g, pi):
+    for a, b in _stored_forms(g_a, g, pi):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "_BLOCK", block)
-            keys, tau = model._matched_keys(a, b, pi)
-        expected = np.intersect1d(_mapped_by_divmod(a, pi), b.edge_keys(), assume_unique=True)
+            keys = model._matched_keys(a, b, pi)
+        expected = np.intersect1d(
+            a.edge_keys(), _mapped_by_divmod(b, pi.inverse()), assume_unique=True
+        )
         assert keys.dtype == np.int64 and np.all(keys[1:] > keys[:-1])
-        assert np.array_equal(_in_labels(keys, g.n, image), expected)
-        assert np.array_equal(image[tau], pi.as_array())
+        assert np.array_equal(keys, expected)
 
 
 # -- goodness -----------------------------------------------------------------
@@ -316,6 +308,28 @@ def test_pistar_trial_neither_maps_nor_sorts_b_or_a():
         assert calls == [] and image is not None
     built = Graph.from_edges(params.n, inst.g_b.edges())
     assert report == is_good(inst.g_a, built, inst.pi_star, params, 0.5)
+
+
+def test_pistar_intersection_graph_stores_no_image():
+    # under pi* the matches are found in A's labels, so the intersection
+    # graph stores them as they are and reading its keys maps nothing
+    params = ModelParams(2000, 0.02, 0.5)
+    inst = generate(params, 11)
+    inter = intersection_graph(inst.g_a, inst.g_b, inst.pi_star)
+    assert inter._stored[2] is None
+    calls = []
+    map_keys = model._map_keys
+
+    def map_spy(keys, image, n):
+        calls.append("map")
+        return map_keys(keys, image, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_map_keys", map_spy)
+        inter.edge_keys()
+    assert calls == []
+    built = Graph.from_edges(params.n, inst.g_b.edges())
+    assert inter == intersection_graph(inst.g_a, built, inst.pi_star)
 
 
 _RSS_TRIAL = """

@@ -43,6 +43,11 @@ def test_read_graph_rejects_malformed(tmp_path):
     bad_orient.write_text("3 1\n2 1\n")
     with pytest.raises(ParameterError):
         read_graph(bad_orient)
+    # a header of no edges followed by edge lines
+    extra = tmp_path / "bad3.edges"
+    extra.write_text("3 0\n0 1\n")
+    with pytest.raises(ParameterError, match="expected 0 edge lines"):
+        read_graph(extra)
 
 
 def test_permutation_roundtrip(tmp_path):

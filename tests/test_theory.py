@@ -311,6 +311,8 @@ def test_conditions_margins_consistent():
     assert res.cond_correlation == (res.correlation_margin > 0)
     assert res.cond_sparsity_beta == (res.sparsity_beta_margin >= 0)
     assert res.cond_sparsity_gamma == (res.sparsity_gamma_margin >= 0)
+    # the correlation condition holds and the mean-degree one does not
+    assert res.cond_correlation and not res.cond_mean_degree and not res.all_satisfied
 
 
 def test_conditions_validation():
