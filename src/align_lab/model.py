@@ -27,36 +27,42 @@ a bit-identical instance.
 
 The parent is never held as an edge list.  Its slots are drawn into one
 oversampled buffer, cut to the slots below C(n, 2), and mapped in place to
-the sorted edge keys ``u*n + v``.  A and B' are those keys under two bool
-masks of retention coins, and B is B' relabeled through the permutation; a
-graph gathers, maps and sorts its keys only when a query reads them (see
-``Graph``).  A draw thus holds about 10 bytes per parent edge: the parent
-keys and the two masks.  Under pi* the intersection graph is the parent's
-keys under both masks, and the goodness test gathers just those.
+the sorted edge keys ``u*n + v``; the gaps a batch draws past C(n, 2) go to
+a spare block, so the buffer's tail is never written.  A and B' are those
+keys under two masks of retention coins, packed eight to a byte, and B is
+B' relabeled through the permutation; a graph gathers, maps and sorts its
+keys only when a query reads them (see ``Graph``).  A draw thus holds about
+8.3 bytes per parent edge: the parent keys and the two packed masks.  Under
+pi* the intersection graph is the parent's keys under the AND of both
+masks, and the goodness test counts its degrees from that stored form.
 
 The O(m) passes of a draw work through their arrays in blocks of
-``_BLOCK`` elements, so their temporaries stay in cache.  Below p = 1/3
-numpy draws a geometric variate as ``ceil(E / -log1p(-p))`` of one standard
-exponential E, so a block of gaps is a block of exponentials divided,
-rounded up and clipped; at and above it ``rng.geometric`` is called on the
-block.  The coins are a block of uniforms compared with s.  Blocks read the
+``_BLOCK`` elements, rounded up to whole mask bytes where a pass reads a
+mask, so their temporaries stay in cache.  Below p = 1/3 numpy draws a
+geometric variate as ``ceil(E / -log1p(-p))`` of one standard exponential
+E, so a block of gaps is a block of exponentials divided, rounded up and
+clipped; at and above it ``rng.geometric`` is called on the block.  The
+coins are a block of uniforms compared with s and packed.  Blocks read the
 stream in the same order as whole-array draws, so the variates are the same.
 
-The slot-to-key map and ``_map_keys`` decode each block of sorted entries by
-row runs: the block's first and last entry give its rows, one
-``searchsorted`` over their boundaries gives the entries in each row, and
+The slot-to-key map, ``_map_keys`` and ``degrees`` decode each block of
+sorted entries by row runs: the block's first and last entry give its rows,
+one ``searchsorted`` over their boundaries gives the entries in each row
+(a ``bincount`` of the keys' rows below four keys per row), and
 ``repeat`` of a per-row value over those counts gives the row's share of
 every entry.  Slots become keys by adding ``(i+1)(i+2)/2`` to the slots of
 row i, and a key's lower endpoint u is its row, the upper endpoint v its
-key minus ``u*n``; ``degrees`` counts lower endpoints by row runs.  ``edges``
-and ``neighbors`` keep the per-key ``divmod``: on the small graphs of the
-exhaustive search its one call costs less than the runs' several.
+key minus ``u*n``; ``degrees`` adds the row counts and then each upper
+endpoint.  ``edges`` and ``neighbors`` keep the per-key ``divmod``: on the
+small graphs of the exhaustive search its one call costs less than the
+runs' several.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -226,13 +232,17 @@ def kl_divergence(p: PairDistribution, q_dist: PairDistribution) -> float:
 class Graph:
     """Undirected simple graph on n labeled nodes, 0-indexed.
 
-    Stored as sorted int64 edge keys ``u*n + v`` (u < v), a bool mask and
-    an image array: the graph's edges are the keys the mask keeps, mapped
-    through the image (a mask or image of None keeps or maps nothing).
-    ``relabeled`` stores its source's keys and mask with the composed image;
-    ``num_edges`` counts the mask, and the first query that reads the keys
-    gathers, maps and sorts them and stores them alone.  Per-node neighbor
-    arrays are built on the first call to ``neighbors``.  The keys, mask and
+    Stored as sorted int64 edge keys ``u*n + v`` (u < v), a mask and an
+    image array: the graph's edges are the keys the mask keeps, mapped
+    through the image (a mask or image of None keeps or maps nothing).  The
+    mask is packed eight keys to a byte (``np.packbits(keep,
+    bitorder="little")``), so a generated A and B, which share the parent's
+    keys, hold about 8.3 bytes per parent edge together.  ``relabeled``
+    stores its source's keys and mask with the composed image;
+    ``num_edges`` counts the mask's bits and ``degrees`` counts from the
+    stored form; the first query that reads the keys gathers, maps and sorts
+    them and stores them alone.  Per-node neighbor arrays are built on the
+    first call to ``neighbors``.  The keys, mask and
     image share one slot, replaced in a single assignment, so the graph
     never changes as seen from outside and is safe to share across threads
     and processes.
@@ -290,10 +300,25 @@ class Graph:
     @property
     def num_edges(self) -> int:
         keys, mask, _ = self._stored
-        return keys.size if mask is None else int(np.count_nonzero(mask))
+        return keys.size if mask is None else _count_bits(mask)
 
     def degrees(self) -> np.ndarray:
-        return _endpoint_degrees(self.edge_keys().copy(), self.n)
+        """Degree of each node, counted from the stored keys block by block
+        (lower endpoints by row runs, upper endpoints one by one) and then
+        scattered through the image; nothing is gathered, mapped or sorted."""
+        keys, mask, image = self._stored
+        n = self.n
+        deg = np.zeros(n, dtype=np.int64)
+        for block in _kept_blocks(keys, mask):
+            if block.size:
+                first, starts, counts = _row_runs(block, n)
+                deg[first : first + counts.size] += counts
+                np.add.at(deg, block - starts.repeat(counts), 1)
+        if image is None:
+            return deg
+        scattered = np.empty_like(deg)
+        scattered[image] = deg
+        return scattered
 
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbor array of node i (a read-only view)."""
@@ -370,11 +395,9 @@ def _map_keys(keys: np.ndarray, image: np.ndarray, n: int) -> np.ndarray:
     mapped = np.empty_like(keys)
     for begin in range(0, keys.size, _BLOCK):
         block = keys[begin : begin + _BLOCK]
-        first, end = int(block[0]) // n, int(block[-1]) // n + 1
-        row_keys = np.arange(first * n, (end + 1) * n, n, dtype=np.int64)
-        counts = _run_lengths(block, row_keys)
-        v = image[block - row_keys[:-1].repeat(counts)]
-        u = image[first:end].repeat(counts)
+        first, starts, counts = _row_runs(block, n)
+        v = image[block - starts.repeat(counts)]
+        u = image[first : first + counts.size].repeat(counts)
         out = mapped[begin : begin + _BLOCK]
         np.minimum(u, v, out=out)
         np.maximum(u, v, out=u)
@@ -384,12 +407,13 @@ def _map_keys(keys: np.ndarray, image: np.ndarray, n: int) -> np.ndarray:
     return mapped
 
 
-def _matched_keys(g_a: Graph, g_b: Graph, pi: Permutation) -> np.ndarray:
-    """Sorted keys (a new array) of the A edges {u, v} with {pi(u), pi(v)}
-    in B, found in A's labels: B's keys are read through B's image and then
+def _intersection(g_a: Graph, g_b: Graph, pi: Permutation) -> Graph:
+    """The intersection graph in A's labels: the A edges {u, v} with
+    {pi(u), pi(v)} in B, whose keys are read through B's image and then
     pi's inverse.  When A and B mask the same keys and neither read maps
-    them (pi* on a generated instance), the matches are the keys both masks
-    keep."""
+    them (pi* on a generated instance), it is those keys under both masks,
+    stored as they are; otherwise B's keys are mapped into A's labels and
+    intersected with A's."""
     n = g_a.n
     if g_b.n != n:
         raise ParameterError(f"graphs disagree on node count: {n} vs {g_b.n}")
@@ -406,10 +430,11 @@ def _matched_keys(g_a: Graph, g_b: Graph, pi: Permutation) -> np.ndarray:
         image = image[b_image]
     a_keys, a_mask, a_image = g_a._stored
     if a_keys is b_keys and a_image is None and np.array_equal(image, np.arange(n)):
-        return _gather(a_keys, a_mask, b_mask)
-    return np.intersect1d(
+        both = b_mask if a_mask is None else a_mask if b_mask is None else a_mask & b_mask
+        return Graph(n, a_keys, both)
+    return Graph(n, np.intersect1d(
         g_a.edge_keys(), Graph(n, b_keys, b_mask, image).edge_keys(), assume_unique=True
-    )
+    ))
 
 
 def _er_edge_slots(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -429,18 +454,28 @@ def _er_edge_slots(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     batch = max(_GEOM_BATCH_MIN, int(total * p * 1.2) + 64)
     chunks = []
     last = -1
+    spare = None
     while last < total:
         positions = np.empty(batch, dtype=np.int64)
-        # a gap past total ends the draw; clipping it keeps the cumsum in int64
         for start in range(0, batch, _BLOCK):
-            gaps = _geometric_gaps(rng, p, positions[start : start + _BLOCK], total + 1)
-            gaps[0] += last
-            np.cumsum(gaps, out=gaps)
-            last = int(gaps[-1])
-        chunks.append(positions)
-    slots = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+            if last < total:
+                # a gap past total ends the draw; clipping it keeps the cumsum in int64
+                gaps = _geometric_gaps(rng, p, positions[start : start + _BLOCK], total + 1)
+                gaps[0] += last
+                np.cumsum(gaps, out=gaps)
+                last = int(gaps[-1])
+                written = start + gaps.size
+            else:
+                # the rest of the batch is drawn only to keep the stream, into
+                # one spare block, so the buffer's tail is never written
+                if spare is None:
+                    spare = np.empty(min(_BLOCK, batch - start), dtype=np.int64)
+                _geometric_gaps(rng, p, spare[: batch - start], total + 1)
+        chunks.append(positions[:written])
+    # the slots before the last batch all lie below total
+    count = batch * (len(chunks) - 1) + int(chunks[-1].searchsorted(total))
+    slots = positions if len(chunks) == 1 else np.concatenate(chunks)
     del chunks, positions, gaps  # no view of the buffer may outlive its resize
-    count = int(slots.searchsorted(total))
     if slots.nbytes < _TRIM_MIN_BYTES:
         return slots[:count]
     slots.resize(count, refcheck=False)
@@ -467,47 +502,71 @@ def _geometric_gaps(rng: np.random.Generator, p: float, out: np.ndarray, cap: in
     return np.minimum(e, cap, out=out, casting="unsafe")
 
 
+def _mask_step() -> int:
+    """Elements per block of a pass over a packed mask: ``_BLOCK`` rounded
+    up to whole mask bytes."""
+    return -(-_BLOCK // 8) * 8
+
+
 def _coins(rng: np.random.Generator, size: int, s: float) -> np.ndarray:
-    """``rng.random(size) < s``, drawn block by block into a bool mask."""
-    keep = np.empty(size, dtype=bool)
-    draws = np.empty(min(size, _BLOCK))
-    for start in range(0, size, _BLOCK):
-        chunk = keep[start : start + _BLOCK]
-        u = draws[: chunk.size]
+    """``np.packbits(rng.random(size) < s, bitorder="little")``, drawn block
+    by block: eight coins to a byte, the unused bits of the last byte 0."""
+    step = _mask_step()
+    packed = np.empty(-(-size // 8), dtype=np.uint8)
+    draws = np.empty(min(size, step))
+    keep = np.empty(draws.size, dtype=bool)
+    for start in range(0, size, step):
+        u = draws[: size - start]
         rng.random(out=u)
+        chunk = keep[: u.size]
         np.less(u, s, out=chunk)
-    return keep
+        packed[start // 8 : (start + step) // 8] = np.packbits(chunk, bitorder="little")
+    return packed
 
 
-def _gather(keys: np.ndarray, *masks: np.ndarray | None) -> np.ndarray:
-    """The ``keys`` that every mask keeps (None keeps all), in a new array of
-    their exact size.  The masks are combined a block at a time, once to
-    count the kept keys and once to take them."""
-    masks = [mask for mask in masks if mask is not None] or [np.ones(keys.size, dtype=bool)]
+def _count_bits(mask: np.ndarray) -> int:
+    """Number of set bits of the packed ``mask``, counted block by block."""
+    step = _mask_step() // 8
+    return sum(
+        int(np.count_nonzero(np.unpackbits(mask[start : start + step])))
+        for start in range(0, mask.size, step)
+    )
 
-    def kept(start):
-        keep = masks[0][start : start + _BLOCK]
-        for mask in masks[1:]:
-            keep = keep & mask[start : start + _BLOCK]
-        return keep
 
-    starts = range(0, keys.size, _BLOCK)
-    out = np.empty(sum(np.count_nonzero(kept(start)) for start in starts), dtype=keys.dtype)
+def _kept_blocks(keys: np.ndarray, mask: np.ndarray | None) -> Iterator[np.ndarray]:
+    """The ``keys`` that the packed ``mask`` keeps (None keeps all), one
+    block of ``_mask_step()`` keys at a time."""
+    step = _mask_step()
+    for start in range(0, keys.size, step):
+        block = keys[start : start + step]
+        if mask is not None:
+            bits = mask[start // 8 : (start + step) // 8]
+            kept = np.unpackbits(bits, count=block.size, bitorder="little").view(bool)
+            block = block.take(kept.nonzero()[0])  # faster than block[kept]
+        yield block
+
+
+def _gather(keys: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The ``keys`` that the packed ``mask`` keeps, in a new array of their
+    exact size."""
+    out = np.empty(_count_bits(mask), dtype=keys.dtype)
     end = 0
-    for start in starts:
-        # compress(out=) fills a copy of out; take in "clip" mode writes out itself
-        hits = kept(start).nonzero()[0]
-        keys[start : start + _BLOCK].take(hits, out=out[end : end + hits.size], mode="clip")
-        end += hits.size
+    for block in _kept_blocks(keys, mask):
+        out[end : end + block.size] = block
+        end += block.size
     return out
 
 
-def _endpoint_degrees(keys: np.ndarray, n: int) -> np.ndarray:
-    """Degree of each of the n nodes over the sorted edge ``keys``, which are
-    overwritten with the edges' upper endpoints."""
-    lower = _run_lengths(keys, np.arange(n + 1, dtype=np.int64) * n)
-    keys %= n
-    return lower + np.bincount(keys, minlength=n)
+def _row_runs(block: np.ndarray, n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Row runs of a non-empty block of sorted keys: its first row, the key
+    ``i*n`` at which each of its rows i starts, and its key count per row."""
+    first, end = int(block[0]) // n, int(block[-1]) // n + 1
+    row_keys = np.arange(first * n, (end + 1) * n, n, dtype=np.int64)
+    if 4 * (end - first) <= block.size:
+        return first, row_keys[:-1], _run_lengths(block, row_keys)
+    # below about four keys per row a division per key costs less than a
+    # search per row
+    return first, row_keys[:-1], np.bincount(block // n - first, minlength=end - first)
 
 
 def _run_lengths(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:

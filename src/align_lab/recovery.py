@@ -8,13 +8,14 @@ parameters) when at least n*(1+alpha)/2 nodes of that intersection graph
 have degree >= n*q*s/2.  Both thresholds are kept as exact reals and
 compared against integer degrees without rounding.
 
-Every intersection query finds the matched edges in A's labels, reading B
-(see ``model.Graph``) through its image followed by the permutation's
-inverse.  Under pi* on a generated instance that read maps nothing, and A
-and B' are coin masks over one parent's keys: the matches are the keys both
-masks keep, gathered in one O(m) pass with neither map nor sort.  Any other
-permutation maps and sorts B's keys into A's labels and intersects them
-with A's by a sort.
+Every intersection query builds the intersection graph in A's labels,
+reading B (see ``model.Graph``) through its image followed by the
+permutation's inverse.  Under pi* on a generated instance that read maps
+nothing, and A and B' are packed coin masks over one parent's keys: the
+intersection graph is the parent under the AND of both masks, and the
+probe counts its degrees over the parent block by block, with no gather,
+map or sort.  Any other permutation maps and sorts B's keys into A's labels
+and intersects them with A's by a sort.
 
 The exhaustive routines enumerate image lists in lexicographic order and
 evaluate them in vectorized batches; results are reported as if the scan
@@ -52,7 +53,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .model import Graph, ModelParams, _endpoint_degrees, _matched_keys, check_alpha
+from .model import Graph, ModelParams, _intersection, check_alpha
 from .perms import Permutation
 
 # n! enumeration beyond this needs an explicit override.
@@ -99,13 +100,13 @@ def _check_same_size(g_a: Graph, g_b: Graph) -> int:
 
 
 def intersection_degrees(g_a: Graph, g_b: Graph, pi: Permutation) -> np.ndarray:
-    """Per-node degrees of the intersection graph, without building it."""
-    return _endpoint_degrees(_matched_keys(g_a, g_b, pi), g_a.n)
+    """Per-node degrees of the intersection graph, counted from its stored form."""
+    return _intersection(g_a, g_b, pi).degrees()
 
 
 def intersection_graph(g_a: Graph, g_b: Graph, pi: Permutation) -> Graph:
     """Graph with edge {i, j} iff A has {i, j} and B has {pi(i), pi(j)}."""
-    return Graph(g_a.n, _matched_keys(g_a, g_b, pi))
+    return _intersection(g_a, g_b, pi)
 
 
 def is_good(
@@ -278,7 +279,7 @@ def map_estimate(g_a: Graph, g_b: Graph, force_large: bool = False) -> Permutati
 
 def overlap_objective(g_a: Graph, g_b: Graph, pi: Permutation) -> int:
     """Number of edges of A mapped onto edges of B by pi (the MAP objective)."""
-    return int(_matched_keys(g_a, g_b, pi).size)
+    return _intersection(g_a, g_b, pi).num_edges
 
 
 def k_core(g: Graph, k: float, peel_order: list[int] | None = None) -> KCoreResult:

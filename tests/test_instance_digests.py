@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from align_lab import ModelParams, Permutation, generate, intersection_degrees, make_rng
+from align_lab.cli import main
 
 
 def _digest(values: np.ndarray) -> str:
@@ -82,3 +83,22 @@ def test_instance_and_probe_digests_are_pinned(point, seed, expected):
         )
     )
     assert got == expected
+
+
+# SHA-256 of each file that `align-lab gen --n 2000 --q 0.05 --s 0.5 --seed 7`
+# writes, recorded before the coin masks were packed to bits.
+BUNDLE = {
+    "ga.edges": "2e75750e1be0c4bb3ef56da00f784defa847474d56091bb53cc2f59bcb1ea9ed",
+    "gb.edges": "a02b7580e956ffc0be30834c3ce9d6dc782b3f54bcd0d61746dbfd46e193c9ec",
+    "meta.json": "ea23f014a7317ed0e46d47fdffec63babbb8b03e7e59cbeaf439358255866a70",
+    "pistar.perm": "4bee903e84e3ff22c4563edb599f2b126044fda2613e9acc38de43da8f13425b",
+}
+
+
+def test_gen_bundle_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "inst"
+    argv = ["gen", "--n", "2000", "--q", "0.05", "--s", "0.5", "--seed", "7", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert got == BUNDLE

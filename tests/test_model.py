@@ -250,12 +250,12 @@ def test_deferred_relabel_answers_like_from_edges(case, block):
         calls.append(("map", keys.size))
         return map_keys(keys, image, n)
 
-    def gather_spy(keys, *masks):
+    def gather_spy(keys, packed):
         calls.append(("gather", keys.size))
-        return gather(keys, *masks)
+        return gather(keys, packed)
 
     def masked():
-        return Graph(g.n, g.edge_keys(), mask.copy())
+        return Graph(g.n, g.edge_keys(), np.packbits(mask, bitorder="little"))
 
     def round_trip(h):
         return pickle.loads(pickle.dumps(h))
@@ -290,6 +290,41 @@ def test_deferred_relabel_answers_like_from_edges(case, block):
             calls.clear()
             _answers(make())
             assert calls == reads
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_two_images_and_mask(), _BLOCKS)
+def test_degrees_count_the_stored_form(case, block):
+    # a masked graph, relabeled zero, one and two times, counts its degrees
+    # from the parent keys, the packed mask and the image: no gather, map or sort
+    g, first, second, mask = case
+    calls = []
+    map_keys, gather = model._map_keys, model._gather
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    def masked():
+        return Graph(g.n, g.edge_keys(), np.packbits(mask, bitorder="little"))
+
+    kept = g.edges()[mask]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_BLOCK", block)
+        mp.setattr(model, "_map_keys", spy("map", map_keys))
+        mp.setattr(model, "_gather", spy("gather", gather))
+        for make, edges in (
+            (masked, kept),
+            (lambda: masked().relabeled(first), first[kept]),
+            (lambda: masked().relabeled(first).relabeled(second), second[first[kept]]),
+        ):
+            degrees = make().degrees()
+            assert calls == []
+            assert degrees.dtype == np.int64
+            assert np.array_equal(degrees, np.bincount(edges.ravel(), minlength=g.n))
+            assert np.array_equal(degrees, Graph.from_edges(g.n, edges).degrees())
 
 
 def test_deferred_keys_read_by_threads_at_once():
@@ -426,15 +461,21 @@ def _block_sizes(block: int) -> list[int]:
 _SELECT_SIZES = _block_sizes(model._BLOCK)
 
 
+def _packed(keep: np.ndarray) -> np.ndarray:
+    return np.packbits(keep, bitorder="little")
+
+
 @pytest.mark.parametrize("size", _SELECT_SIZES)
 def test_select_matches_whole_array_coins(size):
-    # the same coins and kept keys as one whole-array coin draw, and the same state after
+    # the same coins, packed eight to a byte, and the same kept keys as one
+    # whole-array coin draw, and the same generator state after
     keys = np.arange(size, dtype=np.int64) * 3 + 1
     drawn, reference = make_rng(5), make_rng(5)
     coins = model._coins(drawn, size, 0.5)
     expected = reference.random(size) < 0.5
-    assert coins.dtype == bool and np.array_equal(coins, expected)
+    assert coins.dtype == np.uint8 and np.array_equal(coins, _packed(expected))
     assert drawn.random() == reference.random()
+    assert model._count_bits(coins) == np.count_nonzero(expected)
     kept = model._gather(keys, coins)
     assert kept.dtype == np.int64 and np.array_equal(kept, keys[expected])
 
@@ -442,19 +483,20 @@ def test_select_matches_whole_array_coins(size):
 @pytest.mark.parametrize("index", range(len(_SELECT_SIZES)))
 @pytest.mark.parametrize("block", [model._BLOCK, 1, 3, 7])
 def test_gather_matches_boolean_index(block, index, monkeypatch):
-    # one mask, two masks and None (keeps all), at block boundaries of each block size
+    # one packed mask, the AND of two and one that keeps all, at block
+    # boundaries of each block size; the passes step by whole mask bytes
     size = _block_sizes(block)[index]
     rng = make_rng(size)
     keys = np.arange(size, dtype=np.int64) * 3 + 1
     first, second = rng.random(size) < 0.5, rng.random(size) < 0.7
     monkeypatch.setattr(model, "_BLOCK", block)
-    for masks, keep in (
-        ((first,), first),
-        ((first, second), first & second),
-        ((None, second), second),
-        ((None,), np.ones(size, dtype=bool)),
+    for packed, keep in (
+        (_packed(first), first),
+        (_packed(first) & _packed(second), first & second),
+        (_packed(np.ones(size, dtype=bool)), np.ones(size, dtype=bool)),
     ):
-        kept = model._gather(keys, *masks)
+        assert model._count_bits(packed) == np.count_nonzero(keep)
+        kept = model._gather(keys, packed)
         assert kept.dtype == np.int64 and np.array_equal(kept, keys[keep])
         assert kept.base is None and not np.shares_memory(kept, keys)
 
@@ -477,6 +519,31 @@ def test_slot_draw_trims_to_the_parent_keys(size, owned, monkeypatch):
         assert slots.flags.owndata and slots.size == expected.size
     else:
         assert slots.base.size == size and slots.size == expected.size
+
+
+@pytest.mark.parametrize(
+    "n,p,block",
+    [
+        (40, 0.05, 7),  # inversion, batch of 1024 gaps: the minimum
+        (40, 0.5, 3),  # search
+        (1500, 0.05, model._BLOCK),  # inversion, batch of 67 519 gaps
+        (600, 0.5, model._BLOCK),  # search, batch of 107 884 gaps
+    ],
+)
+def test_slot_draw_past_the_last_slot_keeps_the_stream(n, p, block, monkeypatch):
+    # the draw passes C(n, 2) blocks before its batch ends; the rest of the
+    # batch is drawn into a spare block, and the keys and the next variate are
+    # those of one whole-batch rng.geometric draw
+    monkeypatch.setattr(model, "_BLOCK", block)
+    batch = max(model._GEOM_BATCH_MIN, int(math.comb(n, 2) * p * 1.2) + 64)
+    drawn, reference = make_rng(3), make_rng(3)
+    slots = _er_edge_slots(n, p, drawn)
+    expected = _parent_keys_by_geometric(n, p, reference)
+    # the gap that passes C(n, 2), at index expected.size, lies before the
+    # batch's last block, so at least one block goes to the spare
+    assert expected.size < (batch - 1) // block * block
+    assert np.array_equal(_slots_to_keys(slots, n), expected)
+    assert drawn.random() == reference.random()
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])
@@ -544,12 +611,13 @@ def test_generate_relabel_consistency():
 
 
 def test_generate_peak_memory_per_parent_edge():
-    # n = 20000, nqs = 130: 5.2 M parent edges.  The draw holds the parent
-    # keys (8 B per parent edge, the slot buffer trimmed to them) and the two
-    # coin masks (1 each); A and B' are masks over the parent, so nothing is
-    # gathered, and the draw peaks at 10.1 B.  Selecting A beside the parent
-    # and compacting B' into its buffer peaked at 13.1 B, and gathering B'
-    # beside the parent and A at 17.1 B.
+    # n = 20000, nqs = 130: 5.2 M parent edges.  The draw peaks at 9.7 B
+    # per parent edge while it fills the slot buffer, which is oversampled
+    # about 1.2 times (9.6 B); trimmed to the parent keys (8 B), it holds
+    # them and the two coin masks packed to bits (0.125 each).  A and B' are
+    # masks over the parent, so nothing is gathered.  Bool masks peaked at
+    # 10.1 B, selecting A beside the parent and compacting B' into its buffer
+    # at 13.1 B, and gathering B' beside the parent and A at 17.1 B.
     params = ModelParams(20000, 0.013, 0.5)
     parent_edges = _er_edge_slots(params.n, params.parent_p, make_rng(11)).size
     tracemalloc.start()
@@ -558,7 +626,7 @@ def test_generate_peak_memory_per_parent_edge():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 11 * parent_edges
+    assert peak <= 10 * parent_edges
 
 
 def test_generate_marginal_densities():

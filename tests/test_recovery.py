@@ -173,7 +173,7 @@ def _stored_forms(g_a: Graph, g: Graph, pi: Permutation) -> list[tuple[Graph, Gr
     parent = np.union1d(g_a.edge_keys(), g.edge_keys())
 
     def masked(h):
-        return Graph(n, parent, np.isin(parent, h.edge_keys()))
+        return Graph(n, parent, np.packbits(np.isin(parent, h.edge_keys()), bitorder="little"))
 
     forms = [(g_a, g)]
     for x in (image, other):
@@ -209,31 +209,35 @@ def test_matched_keys_match_searchsorted_probe(case):
     g_a, g, pi = case
     for a, b in _stored_forms(g_a, g, pi):
         # the probe runs before anything reads A's or B's keys, so it sees their stored forms
-        keys = model._matched_keys(a, b, pi)
+        keys = model._intersection(a, b, pi).edge_keys()
         expected = _matched_keys_by_probe(a, b, pi)
         assert keys.dtype == expected.dtype and np.all(keys[1:] > keys[:-1])
         assert np.array_equal(keys, expected)
     # each graph against itself under the identity: every key matches exactly once
     for forms in _stored_forms(g_a, g, pi):
         for x in forms:
-            keys = model._matched_keys(x, x, Permutation.identity(g.n))
+            keys = model._intersection(x, x, Permutation.identity(g.n)).edge_keys()
             assert np.array_equal(keys, x.edge_keys())
 
 
 @settings(max_examples=200, deadline=None)
 @given(_dense_or_sparse_pair(max_n=40), st.sampled_from([model._BLOCK, 1, 3, 7]))
 def test_matched_keys_match_intersect1d_for_any_block(case, block):
-    # the masks are gathered, and B's keys mapped, in blocks of any size
+    # the masks are gathered, B's keys mapped and the intersection's degrees
+    # counted in blocks of any size
     g_a, g, pi = case
     for a, b in _stored_forms(g_a, g, pi):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "_BLOCK", block)
-            keys = model._matched_keys(a, b, pi)
+            degrees = model._intersection(a, b, pi).degrees()
+            keys = model._intersection(a, b, pi).edge_keys()
         expected = np.intersect1d(
             a.edge_keys(), _mapped_by_divmod(b, pi.inverse()), assume_unique=True
         )
         assert keys.dtype == np.int64 and np.all(keys[1:] > keys[:-1])
         assert np.array_equal(keys, expected)
+        u, v = np.divmod(expected, g.n)
+        assert np.array_equal(degrees, np.bincount(u, minlength=g.n) + np.bincount(v, minlength=g.n))
 
 
 # -- goodness -----------------------------------------------------------------
@@ -266,10 +270,12 @@ def test_is_good_histogram_covers_all_nodes():
 
 
 def test_is_good_extra_peak_memory_per_parent_edge():
-    # n = 20000, nqs = 130: 5.2 M parent edges.  The peak is the matches,
-    # the parent keys under both coin masks (2 B per parent edge), gathered
-    # into an array of their size: 2.1 B.  A copy of A's keys merged with B'
-    # block by block peaked at 4.2 B, one buffer of m_A + m_B keys at 8.2 B.
+    # n = 20000, nqs = 130: 5.2 M parent edges.  The probe ANDs the two
+    # packed coin masks (0.125 B per parent edge) and counts degrees from the
+    # parent keys under that mask block by block, so the peak is the mask and
+    # the O(n) degree arrays: 0.19 B.  Gathering the matches (2 B per parent
+    # edge) peaked at 2.1 B, a copy of A's keys merged with B' block by block
+    # at 4.2 B, one buffer of m_A + m_B keys at 8.2 B.
     params = ModelParams(20000, 0.013, 0.5)
     parent_edges = _er_edge_slots(params.n, params.parent_p, make_rng(11)).size
     inst = generate(params, 11)
@@ -280,20 +286,25 @@ def test_is_good_extra_peak_memory_per_parent_edge():
     finally:
         tracemalloc.stop()
     assert report.is_good
-    assert peak <= 3 * parent_edges
+    assert peak <= 0.5 * parent_edges
 
 
 def test_pistar_trial_neither_maps_nor_sorts_b_or_a():
     # A and B' are masks over one parent and B stores B' with pi* as its image,
-    # so under pi* the probe gathers the parent keys both masks keep: it maps
-    # and sorts nothing, and B stays unmapped after the trial
+    # so under pi* the probe counts degrees over the parent keys under both
+    # masks: it gathers, maps and sorts nothing, and B stays unmapped after
+    # the trial
     params = ModelParams(2000, 0.02, 0.5)
     calls = []
-    map_keys, intersect1d = model._map_keys, np.intersect1d
+    map_keys, gather, intersect1d = model._map_keys, model._gather, np.intersect1d
 
     def map_spy(keys, image, n):
         calls.append("map")
         return map_keys(keys, image, n)
+
+    def gather_spy(keys, mask):
+        calls.append("gather")
+        return gather(keys, mask)
 
     def intersect_spy(*args, **kwargs):
         calls.append("intersect1d")
@@ -301,6 +312,7 @@ def test_pistar_trial_neither_maps_nor_sorts_b_or_a():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_map_keys", map_spy)
+        mp.setattr(model, "_gather", gather_spy)
         mp.setattr(np, "intersect1d", intersect_spy)
         inst = generate(params, 11)
         report = is_good(inst.g_a, inst.g_b, inst.pi_star, params, 0.5)
@@ -351,12 +363,14 @@ def test_pistar_trial_resident_memory_per_parent_edge():
     # tracemalloc counts allocations, not resident pages, and resident pages
     # are what the benchmark's peak_rss_mb reads: a view that kept the slot
     # buffer's oversampled tail resident showed only here.  One trial grows
-    # 13.5 B per parent edge, 12 of them the parent keys, its two coin masks
-    # and the gathered matches (14.6 with A selected and B' compacted into
-    # the parent, 18.6 with B' beside the parent and the m_A + m_B probe
-    # buffer, 25.1 with that view and compress's index).
+    # 9.9 B per parent edge, 8.4 of them the parent keys, its two packed coin
+    # masks and their AND; the slot buffer's tail past the last slot is never
+    # written.  Bool masks, the written tail and the gathered matches grew
+    # 13.5 (14.6 with A selected and B' compacted into the parent, 18.6 with
+    # B' beside the parent and the m_A + m_B probe buffer, 25.1 with that
+    # view and compress's index).
     # Resident pages depend on numpy's allocator and on the C library, and
-    # the 1.5 B of headroom was measured with numpy 2.4.6 only.
+    # the 1.1 B of headroom was measured with numpy 2.4.6 only.
     pytest.importorskip("resource")
     if np.__version__ != "2.4.6":
         pytest.skip("resident growth measured with numpy 2.4.6 only")
@@ -373,7 +387,7 @@ def test_pistar_trial_resident_memory_per_parent_edge():
     )
     before, after = map(int, out.stdout.split())
     unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in kB on Linux
-    assert (after - before) * unit <= 15 * parent_edges
+    assert (after - before) * unit <= 11 * parent_edges
 
 
 def test_is_good_alpha_validation():
