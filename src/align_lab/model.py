@@ -47,13 +47,13 @@ stream in the same order as whole-array draws, so the variates are the same.
 
 The slot-to-key map, ``_map_keys`` and ``degrees`` decode each block of
 sorted entries by row runs: the block's first and last entry give its rows,
-one ``searchsorted`` over their boundaries gives the entries in each row
-(a ``bincount`` of the keys' rows below four keys per row), and
-``repeat`` of a per-row value over those counts gives the row's share of
-every entry.  Slots become keys by adding ``(i+1)(i+2)/2`` to the slots of
-row i, and a key's lower endpoint u is its row, the upper endpoint v its
+one ``searchsorted`` over their boundaries gives the entries in each row,
+and ``repeat`` of a per-row value over those counts gives the row's share
+of every entry.  Slots become keys by adding ``(i+1)(i+2)/2`` to the slots
+of row i, and a key's lower endpoint u is its row, the upper endpoint v its
 key minus ``u*n``; ``degrees`` adds the row counts and then each upper
-endpoint.  ``edges`` and ``neighbors`` keep the per-key ``divmod``: on the
+endpoint with ``np.add.at`` (fast from numpy 1.25 on, the floor in
+``pyproject.toml``).  ``edges`` and ``neighbors`` keep the per-key ``divmod``: on the
 small graphs of the exhaustive search its one call costs less than the
 runs' several.
 """
@@ -562,11 +562,7 @@ def _row_runs(block: np.ndarray, n: int) -> tuple[int, np.ndarray, np.ndarray]:
     ``i*n`` at which each of its rows i starts, and its key count per row."""
     first, end = int(block[0]) // n, int(block[-1]) // n + 1
     row_keys = np.arange(first * n, (end + 1) * n, n, dtype=np.int64)
-    if 4 * (end - first) <= block.size:
-        return first, row_keys[:-1], _run_lengths(block, row_keys)
-    # below about four keys per row a division per key costs less than a
-    # search per row
-    return first, row_keys[:-1], np.bincount(block // n - first, minlength=end - first)
+    return first, row_keys[:-1], _run_lengths(block, row_keys)
 
 
 def _run_lengths(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:

@@ -105,8 +105,11 @@ def intersection_degrees(g_a: Graph, g_b: Graph, pi: Permutation) -> np.ndarray:
 
 
 def intersection_graph(g_a: Graph, g_b: Graph, pi: Permutation) -> Graph:
-    """Graph with edge {i, j} iff A has {i, j} and B has {pi(i), pi(j)}."""
-    return _intersection(g_a, g_b, pi)
+    """Graph with edge {i, j} iff A has {i, j} and B has {pi(i), pi(j)},
+    stored as its own keys: under pi* on a generated instance it keeps no
+    reference to the parent's keys."""
+    inter = _intersection(g_a, g_b, pi)
+    return Graph(inter.n, inter.edge_keys())
 
 
 def is_good(

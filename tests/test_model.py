@@ -686,7 +686,12 @@ def test_intersection_under_pistar_is_parent_kept_in_both(n, q, s, seed):
     keep_b = rng.random(parent.size) < s
     assert np.array_equal(rng.permutation(n), inst.pi_star.as_array())
     both = parent[keep_a & keep_b]
-    assert np.array_equal(intersection_graph(inst.g_a, inst.g_b, inst.pi_star).edge_keys(), both)
+    inter = intersection_graph(inst.g_a, inst.g_b, inst.pi_star)
+    # the returned graph holds its own keys, not the parent's under a mask
+    keys, mask, image = inter._stored
+    assert mask is None and image is None
+    assert not np.shares_memory(keys, inst.g_a._stored[0])
+    assert np.array_equal(keys, both)
 
     u, v = np.divmod(both, n)
     deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
