@@ -25,16 +25,20 @@ slots (geometric skipping), retention coins for copy A, retention coins for
 copy B', then the permutation.  Identical ``(params, seed)`` therefore gives
 a bit-identical instance.
 
-The parent is never held as an edge list.  Its slots are drawn into one
-oversampled buffer, cut to the slots below C(n, 2), and mapped in place to
-the sorted edge keys ``u*n + v``; the gaps a batch draws past C(n, 2) go to
-a spare block, so the buffer's tail is never written.  A and B' are those
-keys under two masks of retention coins, packed eight to a byte, and B is
-B' relabeled through the permutation; a graph gathers, maps and sorts its
-keys only when a query reads them (see ``Graph``).  A draw thus holds about
-8.3 bytes per parent edge: the parent keys and the two packed masks.  Under
-pi* the intersection graph is the parent's keys under the AND of both
-masks, and the goodness test counts its degrees from that stored form.
+Every graph is stored as a CSR of its upper triangle: ``starts``, int64 of
+length n + 1, and ``cols``, the uint32 upper endpoint of each edge, sorted
+within each row (see ``Graph``).  The parent is drawn straight into that
+form: each block of gaps is summed into slots in one reused block buffer,
+and while the block is in cache its upper endpoints go to a uint32 buffer
+one batch long and its count per row to the row counts, whose cumsum is
+``starts``.  The gaps a batch draws past C(n, 2) fill the same block
+buffer, so the column buffer's tail is never written.  A and B' are that
+CSR under two masks of retention coins, packed eight to a byte, and B is
+B' relabeled through the permutation; a graph gathers, or maps and sorts,
+its edges only when a query reads them.  A draw thus holds about 4.3 bytes per
+parent edge: the parent's columns and the two packed masks.  Under pi* the
+intersection graph is the parent under the AND of both masks, and the
+goodness test counts its degrees from that stored form.
 
 The O(m) passes of a draw work through their arrays in blocks of
 ``_BLOCK`` elements, rounded up to whole mask bytes where a pass reads a
@@ -45,17 +49,15 @@ clipped; at and above it ``rng.geometric`` is called on the block.  The
 coins are a block of uniforms compared with s and packed.  Blocks read the
 stream in the same order as whole-array draws, so the variates are the same.
 
-The slot-to-key map, ``_map_keys`` and ``degrees`` decode each block of
-sorted entries by row runs: the block's first and last entry give its rows,
-one ``searchsorted`` over their boundaries gives the entries in each row,
-and ``repeat`` of a per-row value over those counts gives the row's share
-of every entry.  Slots become keys by adding ``(i+1)(i+2)/2`` to the slots
-of row i, and a key's lower endpoint u is its row, the upper endpoint v its
-key minus ``u*n``; ``degrees`` adds the row counts and then each upper
-endpoint with ``np.add.at`` (fast from numpy 1.25 on, the floor in
-``pyproject.toml``).  ``edges`` and ``neighbors`` keep the per-key ``divmod``: on the
-small graphs of the exhaustive search its one call costs less than the
-runs' several.
+The slot map, ``_map_keys``, ``_gather`` and ``degrees`` decode each block
+of sorted entries by row runs: the rows the block meets give its row
+boundaries, one ``searchsorted`` over them gives the (kept) entries in each
+row, and ``repeat`` of a per-row value over those counts gives the row's
+share of every entry.  The slot map adds a per-row shift to each slot to
+get its upper endpoint.  ``degrees`` adds the row counts and then each kept
+upper endpoint with ``np.add.at`` (fast from numpy 1.25 on, the floor in
+``pyproject.toml``).  ``edges`` repeats each row over its entry count, and
+edge keys ``u*n + v`` are int64, computed on each call.
 """
 
 from __future__ import annotations
@@ -72,11 +74,15 @@ from .perms import Permutation
 # Refuse to materialize parent graphs whose expected edge count exceeds this.
 MAX_PARENT_EDGES = 200_000_000
 
-# Refuse more nodes than this: generate also holds O(n) arrays, and C(n, 2)
-# must stay below 2**53 for the float clip of the geometric gaps.
+# Refuse more nodes than this: generate also holds O(n) arrays, C(n, 2)
+# must stay below 2**53 for the float clip of the geometric gaps, and every
+# upper endpoint must fit in the uint32 columns of a graph's CSR.
 MAX_NODES = 10**8
 
 _GEOM_BATCH_MIN = 1024
+
+# A batch of gaps is this many times the expected parent edge count, plus 64.
+_GEOM_OVERSAMPLE = 1.2
 
 # numpy's Generator.geometric inverts an exponential below this p and searches
 # at and above it.
@@ -86,9 +92,10 @@ _GEOM_SEARCH_MIN_P = 0.3333333333333333
 # each pass's temporaries stay in cache.
 _BLOCK = 1 << 15
 
-# The slot buffer is shrunk in place to its used part from this size on.
-# glibc's malloc maps a buffer this large (its largest mmap threshold on
-# 64-bit) afresh on every allocation, so releasing the tail costs nothing.
+# The parent's column buffer is shrunk in place to its used part from this
+# size on.  glibc's malloc maps a buffer this large (its largest mmap
+# threshold on 64-bit) afresh on every allocation, so releasing the tail
+# costs nothing.
 # It recycles a smaller one when it is freed whole; shrinking it first
 # keeps glibc's mmap threshold below the buffer's size, and every later
 # draw then maps and faults in a fresh buffer.
@@ -232,17 +239,20 @@ def kl_divergence(p: PairDistribution, q_dist: PairDistribution) -> float:
 class Graph:
     """Undirected simple graph on n labeled nodes, 0-indexed.
 
-    Stored as sorted int64 edge keys ``u*n + v`` (u < v), a mask and an
-    image array: the graph's edges are the keys the mask keeps, mapped
-    through the image (a mask or image of None keeps or maps nothing).  The
-    mask is packed eight keys to a byte (``np.packbits(keep,
-    bitorder="little")``), so a generated A and B, which share the parent's
-    keys, hold about 8.3 bytes per parent edge together.  ``relabeled``
-    stores its source's keys and mask with the composed image;
-    ``num_edges`` counts the mask's bits and ``degrees`` counts from the
-    stored form; the first query that reads the keys gathers, maps and sorts
-    them and stores them alone.  Per-node neighbor arrays are built on the
-    first call to ``neighbors``.  The keys, mask and
+    Stored as a CSR of its upper triangle, a mask and an image array: row u
+    holds the upper endpoints v > u of u's edges in ``cols[starts[u] :
+    starts[u + 1]]``, sorted, with ``starts`` int64 of length n + 1 and
+    ``cols`` uint32.  The graph's edges are the entries the mask keeps,
+    mapped through the image (a mask or image of None keeps or maps
+    nothing).  The mask is packed eight entries to a byte
+    (``np.packbits(keep, bitorder="little")``), so a generated A and B,
+    which share the parent's CSR, hold about 4.3 bytes per parent edge
+    together.  ``relabeled`` stores its source's CSR and mask with the
+    composed image; ``num_edges`` counts the mask's bits and ``degrees``
+    counts from the stored form; the first query that reads the edges
+    gathers them, or maps and sorts them, and stores their CSR alone.  Edge keys
+    ``u*n + v`` are computed from it on each call.  Per-node neighbor
+    arrays are built on the first call to ``neighbors``.  The CSR, mask and
     image share one slot, replaced in a single assignment, so the graph
     never changes as seen from outside and is safe to share across threads
     and processes.
@@ -251,12 +261,13 @@ class Graph:
     __slots__ = ("n", "_stored", "_adjacency")
 
     def __init__(
-        self, n: int, keys: np.ndarray,
+        self, n: int, starts: np.ndarray, cols: np.ndarray,
         mask: np.ndarray | None = None, image: np.ndarray | None = None,
     ):
         self.n = int(n)
-        keys.setflags(write=False)
-        self._stored = (keys, mask, image)
+        starts.setflags(write=False)
+        cols.setflags(write=False)
+        self._stored = (starts, cols, mask, image)
         self._adjacency: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction --------------------------------------------------
@@ -284,7 +295,7 @@ class Graph:
         keys.sort()
         if keys.size and np.any(keys[1:] == keys[:-1]):
             raise ParameterError("duplicate edges are not allowed")
-        return cls(n, keys)
+        return cls(n, *_keys_to_csr(keys, n))
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -299,21 +310,19 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        keys, mask, _ = self._stored
-        return keys.size if mask is None else _count_bits(mask)
+        _, cols, mask, _ = self._stored
+        return cols.size if mask is None else _count_bits(mask)
 
     def degrees(self) -> np.ndarray:
-        """Degree of each node, counted from the stored keys block by block
-        (lower endpoints by row runs, upper endpoints one by one) and then
-        scattered through the image; nothing is gathered, mapped or sorted."""
-        keys, mask, image = self._stored
-        n = self.n
-        deg = np.zeros(n, dtype=np.int64)
-        for block in _kept_blocks(keys, mask):
-            if block.size:
-                first, starts, counts = _row_runs(block, n)
-                deg[first : first + counts.size] += counts
-                np.add.at(deg, block - starts.repeat(counts), 1)
+        """Degree of each node, counted from the stored form block by block
+        (lower endpoints by the kept entries per row, upper endpoints one by
+        one) and then scattered through the image; nothing is gathered,
+        mapped or sorted."""
+        starts, cols, mask, image = self._stored
+        deg = np.zeros(self.n, dtype=np.int64)
+        for first, counts, kept in _kept_blocks(starts, cols, mask):
+            deg[first : first + counts.size] += counts
+            np.add.at(deg, kept, 1)
         if image is None:
             return deg
         scattered = np.empty_like(deg)
@@ -323,42 +332,54 @@ class Graph:
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbor array of node i (a read-only view)."""
         if self._adjacency is None:
-            keys = self.edge_keys()
-            u, v = np.divmod(keys, self.n)
+            starts, cols = self._csr()
+            rows, cols = _rows(starts), cols.astype(np.int64)
             # both orientations as src*n + dst, so one sort orders by (src, dst)
-            both = np.concatenate([keys, v * self.n + u])
+            both = np.concatenate([rows * self.n + cols, cols * self.n + rows])
             both.sort()
-            starts = np.searchsorted(both, np.arange(self.n + 1, dtype=np.int64) * self.n)
+            bounds = np.searchsorted(both, np.arange(self.n + 1, dtype=np.int64) * self.n)
             targets = both % self.n
             targets.setflags(write=False)
-            self._adjacency = (starts, targets)
+            self._adjacency = (bounds, targets)
         starts, targets = self._adjacency
         return targets[starts[i] : starts[i + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ParameterError(f"endpoints ({u}, {v}) out of range for n={self.n}")
-        keys = self.edge_keys()
-        key = min(u, v) * self.n + max(u, v)
-        pos = np.searchsorted(keys, key)
-        return bool(pos < keys.size and keys[pos] == key)
+        starts, cols = self._csr()
+        u, v = min(u, v), max(u, v)
+        row = cols[starts[u] : starts[u + 1]]
+        pos = int(row.searchsorted(v))
+        return pos < row.size and int(row[pos]) == v
 
     def edges(self) -> np.ndarray:
-        """All edges as an (m, 2) array with u < v, sorted lexicographically."""
-        return np.column_stack(np.divmod(self.edge_keys(), self.n))
+        """All edges as an int64 (m, 2) array with u < v, sorted lexicographically."""
+        starts, cols = self._csr()
+        return np.column_stack([_rows(starts), cols.astype(np.int64)])
 
     def edge_keys(self) -> np.ndarray:
-        """Sorted int64 keys u*n+v (u < v) of all edges, read-only."""
-        keys, mask, image = self._stored
-        if mask is None and image is None:
-            return keys
-        if mask is not None:
-            keys = _gather(keys, mask)
-        if image is not None:
-            keys = _map_keys(keys, image, self.n)
-        keys.setflags(write=False)
-        self._stored = (keys, None, None)
+        """Sorted int64 keys u*n+v (u < v) of all edges, a new array on each call."""
+        starts, cols = self._csr()
+        keys = _rows(starts)
+        keys *= self.n
+        keys += cols
         return keys
+
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR of the graph's own edges: the stored one, read through
+        the mask and the image and stored alone on the first call."""
+        starts, cols, mask, image = self._stored
+        if mask is None and image is None:
+            return starts, cols
+        if image is None:
+            starts, cols = _gather(starts, cols, mask)
+        else:
+            starts, cols = _keys_to_csr(_map_keys(starts, cols, mask, image), self.n)
+        starts.setflags(write=False)
+        cols.setflags(write=False)
+        self._stored = (starts, cols, None, None)
+        return starts, cols
 
     def density(self) -> float:
         return self.num_edges / math.comb(self.n, 2) if self.n >= 2 else 0.0
@@ -367,53 +388,90 @@ class Graph:
         """New graph with every edge (u, v) mapped to (image[u], image[v]).
 
         ``image`` is a Permutation of the n nodes, or an image list that
-        makes one.  The new graph shares this graph's stored keys and mask;
-        they are gathered, mapped and sorted when a query first reads them.
+        makes one.  The new graph shares this graph's stored CSR and mask;
+        they are read through the mask, mapped and sorted when a query first
+        reads them.
         """
         pi = image if isinstance(image, Permutation) else Permutation(image)
         if len(pi) != self.n:
             raise ParameterError(f"relabeling must be a bijection on the {self.n} nodes")
-        keys, mask, first = self._stored
-        return Graph(self.n, keys, mask, pi.as_array() if first is None else pi.as_array()[first])
+        starts, cols, mask, first = self._stored
+        return Graph(
+            self.n, starts, cols, mask, pi.as_array() if first is None else pi.as_array()[first]
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.edge_keys(), other.edge_keys())
+        if self.n != other.n:
+            return False
+        (starts, cols), (other_starts, other_cols) = self._csr(), other._csr()
+        return np.array_equal(starts, other_starts) and np.array_equal(cols, other_cols)
 
     def __hash__(self):
-        return hash((self.n, self.edge_keys().tobytes()))
+        starts, cols = self._csr()
+        return hash((self.n, starts.tobytes(), cols.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
 
 
-def _map_keys(keys: np.ndarray, image: np.ndarray, n: int) -> np.ndarray:
-    """Sorted keys of the edges ``keys`` mapped through ``image``, a
-    bijection on the n nodes; a new array, without repeats, since the keys
-    are unique."""
-    mapped = np.empty_like(keys)
+def _rows(starts: np.ndarray) -> np.ndarray:
+    """The row (lower endpoint) of each entry of a CSR, int64."""
+    return np.arange(starts.size - 1, dtype=np.int64).repeat(starts[1:] - starts[:-1])
+
+
+def _keys_to_csr(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR of the sorted unique edge keys ``keys``."""
+    starts = keys.searchsorted(np.arange(n + 1, dtype=np.int64) * n)
+    cols = np.empty(keys.size, dtype=np.uint32)
     for begin in range(0, keys.size, _BLOCK):
-        block = keys[begin : begin + _BLOCK]
-        first, starts, counts = _row_runs(block, n)
-        v = image[block - starts.repeat(counts)]
+        cols[begin : begin + _BLOCK] = keys[begin : begin + _BLOCK] % n
+    return starts, cols
+
+
+def _map_keys(
+    starts: np.ndarray, cols: np.ndarray, mask: np.ndarray | None, image: np.ndarray
+) -> np.ndarray:
+    """Sorted int64 keys of the CSR entries that the packed ``mask`` keeps
+    (None keeps all), mapped through ``image``, a bijection on the n nodes;
+    without repeats, since the edges are unique."""
+    n = starts.size - 1
+    mapped = np.empty(cols.size if mask is None else _count_bits(mask), dtype=np.int64)
+    end = 0
+    for first, counts, block in _kept_blocks(starts, cols, mask):
+        v = image[block]
         u = image[first : first + counts.size].repeat(counts)
-        out = mapped[begin : begin + _BLOCK]
+        out = mapped[end : end + block.size]
         np.minimum(u, v, out=out)
         np.maximum(u, v, out=u)
         out *= n
         out += u
+        end += block.size
     mapped.sort()
     return mapped
 
 
+def _common_keys(a_keys: np.ndarray, b_keys: np.ndarray) -> np.ndarray:
+    """The keys in both sorted unique arrays, sorted: each block of
+    ``b_keys`` searched in ``a_keys``."""
+    parts = [b_keys[:0]]
+    if a_keys.size:
+        for begin in range(0, b_keys.size, _BLOCK):
+            block = b_keys[begin : begin + _BLOCK]
+            pos = a_keys.searchsorted(block)
+            np.minimum(pos, a_keys.size - 1, out=pos)
+            parts.append(block[a_keys[pos] == block])
+    return np.concatenate(parts)
+
+
 def _intersection(g_a: Graph, g_b: Graph, pi: Permutation) -> Graph:
     """The intersection graph in A's labels: the A edges {u, v} with
-    {pi(u), pi(v)} in B, whose keys are read through B's image and then
-    pi's inverse.  When A and B mask the same keys and neither read maps
-    them (pi* on a generated instance), it is those keys under both masks,
-    stored as they are; otherwise B's keys are mapped into A's labels and
-    intersected with A's."""
+    {pi(u), pi(v)} in B, whose edges are read through B's image and then
+    pi's inverse.  When A and B mask the same CSR and neither read maps it
+    (pi* on a generated instance), it is that CSR under both masks, stored
+    as it is; otherwise B's keys are mapped into A's labels and searched in
+    A's."""
     n = g_a.n
     if g_b.n != n:
         raise ParameterError(f"graphs disagree on node count: {n} vs {g_b.n}")
@@ -421,65 +479,112 @@ def _intersection(g_a: Graph, g_b: Graph, pi: Permutation) -> Graph:
     # repeat would read as a match
     if len(pi) != n:
         raise ParameterError(f"relabeling must be a bijection on the {n} nodes")
-    # B's keys, mask and image are read as one tuple: g_a may be g_b, and
-    # reading A's keys replaces that slot
-    b_keys, b_mask, b_image = g_b._stored
+    # B's CSR, mask and image are read as one tuple: g_a may be g_b, and
+    # reading A's edges replaces that slot
+    b_starts, b_cols, b_mask, b_image = g_b._stored
     image = np.empty(n, dtype=np.int64)
     image[pi.as_array()] = np.arange(n)
     if b_image is not None:
         image = image[b_image]
-    a_keys, a_mask, a_image = g_a._stored
-    if a_keys is b_keys and a_image is None and np.array_equal(image, np.arange(n)):
+    a_starts, a_cols, a_mask, a_image = g_a._stored
+    if a_cols is b_cols and a_image is None and np.array_equal(image, np.arange(n)):
         both = b_mask if a_mask is None else a_mask if b_mask is None else a_mask & b_mask
-        return Graph(n, a_keys, both)
-    return Graph(n, np.intersect1d(
-        g_a.edge_keys(), Graph(n, b_keys, b_mask, image).edge_keys(), assume_unique=True
-    ))
+        return Graph(n, a_starts, a_cols, both)
+    common = _common_keys(g_a.edge_keys(), _map_keys(b_starts, b_cols, b_mask, image))
+    return Graph(n, *_keys_to_csr(common, n))
 
 
-def _er_edge_slots(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Occupied slot indices of an ER(n, p) draw over the C(n,2) slot sequence.
+def _slot_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row-major upper-triangle slot order on n nodes: the first slot
+    of each row, n + 1 of them (rows n - 1 and n start at C(n, 2)), and the
+    shift that takes a slot of row i to its upper endpoint.
+
+    Row i starts at slot i*n - i(i+1)/2, so slot t of row i has upper
+    endpoint t + (i+1)(i+2)/2 - i*n.
+    """
+    rows = np.arange(n + 1, dtype=np.int64)
+    tri = rows.cumsum()
+    return rows * n - tri, tri[1:] - rows[:-1] * n
+
+
+def _place_slots(
+    slots: np.ndarray, tables: tuple[np.ndarray, np.ndarray], counts: np.ndarray, out: np.ndarray
+) -> None:
+    """Write the upper endpoints of a non-empty block of sorted unique
+    slots, all below C(n, 2), to the front of ``out`` and add their count
+    per row i to ``counts[i + 1]``; maps ``slots`` in place.  ``tables`` is
+    ``_slot_tables(n)``."""
+    first_slots, shift = tables
+    first = int(first_slots.searchsorted(slots[0], side="right")) - 1
+    end = int(first_slots.searchsorted(slots[-1], side="right"))
+    run = _run_lengths(slots, first_slots[first : end + 1])
+    counts[first + 1 : end + 1] += run
+    slots += shift[first:end].repeat(run)
+    out[: slots.size] = slots
+
+
+def _slots_to_csr(slots: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR of the edges at sorted unique row-major slots, all below
+    C(n, 2), placed block by block; maps ``slots`` in place."""
+    tables = _slot_tables(n)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    cols = np.empty(slots.size, dtype=np.uint32)
+    for begin in range(0, slots.size, _BLOCK):
+        _place_slots(slots[begin : begin + _BLOCK], tables, counts, cols[begin:])
+    return counts.cumsum(out=counts), cols
+
+
+def _er_parent(n: int, p: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR ``(starts, cols)`` of an ER(n, p) draw over the C(n,2) slot sequence.
 
     Slots enumerate the upper triangle row-major: (0,1),...,(0,n-1),(1,2),...
     Sampling skips between occupied slots with geometric gaps, so the cost is
     O(m) rather than O(n^2).  Batch sizes depend only on (n, p) and the drawn
-    values, keeping the consumed stream deterministic.  C(n, 2) must stay
+    values, keeping the consumed stream deterministic.  Each block of gaps
+    is summed into slots in one reused block buffer, and its upper endpoints
+    go straight to the batch's uint32 column buffer.  C(n, 2) must stay
     below 2**53 (``MAX_NODES``), the bound ``_geometric_gaps`` needs.
     """
     total = n * (n - 1) // 2
     if p >= 1.0:
-        return np.arange(total, dtype=np.int64)
+        return _slots_to_csr(np.arange(total, dtype=np.int64), n)
+    counts = np.zeros(n + 1, dtype=np.int64)
     if p <= 0.0 or total == 0:
-        return np.empty(0, dtype=np.int64)
-    batch = max(_GEOM_BATCH_MIN, int(total * p * 1.2) + 64)
+        return counts, np.empty(0, dtype=np.uint32)
+    tables = _slot_tables(n)
+    batch = max(_GEOM_BATCH_MIN, int(total * p * _GEOM_OVERSAMPLE) + 64)
+    # half-size gap blocks: at _BLOCK a draw at n = 2000, nqs >= 8 faulted in
+    # some 75 fresh heap pages (ru_minflt), which glibc's malloc had trimmed
+    step = max(1, _BLOCK // 2)
+    gaps = np.empty(min(step, batch), dtype=np.int64)
     chunks = []
     last = -1
-    spare = None
     while last < total:
-        positions = np.empty(batch, dtype=np.int64)
-        for start in range(0, batch, _BLOCK):
-            if last < total:
-                # a gap past total ends the draw; clipping it keeps the cumsum in int64
-                gaps = _geometric_gaps(rng, p, positions[start : start + _BLOCK], total + 1)
-                gaps[0] += last
-                np.cumsum(gaps, out=gaps)
-                last = int(gaps[-1])
-                written = start + gaps.size
-            else:
-                # the rest of the batch is drawn only to keep the stream, into
-                # one spare block, so the buffer's tail is never written
-                if spare is None:
-                    spare = np.empty(min(_BLOCK, batch - start), dtype=np.int64)
-                _geometric_gaps(rng, p, spare[: batch - start], total + 1)
-        chunks.append(positions[:written])
-    # the slots before the last batch all lie below total
-    count = batch * (len(chunks) - 1) + int(chunks[-1].searchsorted(total))
-    slots = positions if len(chunks) == 1 else np.concatenate(chunks)
-    del chunks, positions, gaps  # no view of the buffer may outlive its resize
-    if slots.nbytes < _TRIM_MIN_BYTES:
-        return slots[:count]
-    slots.resize(count, refcheck=False)
-    return slots
+        cols = np.empty(batch, dtype=np.uint32)
+        written = 0
+        for start in range(0, batch, step):
+            # a gap past total ends the draw; clipping it keeps the cumsum in
+            # int64.  The rest of the batch is drawn only to keep the stream.
+            block = _geometric_gaps(rng, p, gaps[: batch - start], total + 1)
+            if last >= total:
+                continue
+            block[0] += last
+            block.cumsum(out=block)
+            last = int(block[-1])
+            if last >= total:
+                block = block[: block.searchsorted(total)]
+            if block.size:
+                _place_slots(block, tables, counts, cols[written:])
+                written += block.size
+        chunks.append(cols[:written])
+    counts.cumsum(out=counts)
+    if len(chunks) > 1:
+        return counts, np.concatenate(chunks)
+    del chunks  # no view of the buffer may outlive its resize
+    if cols.nbytes < _TRIM_MIN_BYTES:
+        return counts, cols[:written]
+    cols.resize(written, refcheck=False)
+    return counts, cols
 
 
 def _geometric_gaps(rng: np.random.Generator, p: float, out: np.ndarray, cap: int) -> np.ndarray:
@@ -533,61 +638,48 @@ def _count_bits(mask: np.ndarray) -> int:
     )
 
 
-def _kept_blocks(keys: np.ndarray, mask: np.ndarray | None) -> Iterator[np.ndarray]:
-    """The ``keys`` that the packed ``mask`` keeps (None keeps all), one
-    block of ``_mask_step()`` keys at a time."""
+def _kept_blocks(
+    starts: np.ndarray, cols: np.ndarray, mask: np.ndarray | None
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The CSR entries that the packed ``mask`` keeps (None keeps all), one
+    block of ``_mask_step()`` entries at a time: the first row the block
+    meets, the count of its kept entries in each row from there, and their
+    columns."""
     step = _mask_step()
-    for start in range(0, keys.size, step):
-        block = keys[start : start + step]
-        if mask is not None:
-            bits = mask[start // 8 : (start + step) // 8]
-            kept = np.unpackbits(bits, count=block.size, bitorder="little").view(bool)
-            block = block.take(kept.nonzero()[0])  # faster than block[kept]
-        yield block
+    for begin in range(0, cols.size, step):
+        block = cols[begin : begin + step]
+        first = int(starts.searchsorted(begin, side="right")) - 1
+        end = int(starts.searchsorted(begin + block.size))
+        # the block's positions at which its rows first..end-1 start
+        bounds = starts[first : end + 1] - begin
+        bounds[0], bounds[-1] = 0, block.size
+        if mask is None:
+            yield first, bounds[1:] - bounds[:-1], block
+            continue
+        bits = mask[begin // 8 : (begin + step) // 8]
+        kept = np.unpackbits(bits, count=block.size, bitorder="little").view(bool).nonzero()[0]
+        yield first, _run_lengths(kept, bounds), block.take(kept)  # faster than block[kept]
 
 
-def _gather(keys: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The ``keys`` that the packed ``mask`` keeps, in a new array of their
-    exact size."""
-    out = np.empty(_count_bits(mask), dtype=keys.dtype)
+def _gather(
+    starts: np.ndarray, cols: np.ndarray, mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR of the entries that the packed ``mask`` keeps, in new arrays
+    of their exact size."""
+    kept_starts = np.zeros(starts.size, dtype=np.int64)
+    out = np.empty(_count_bits(mask), dtype=cols.dtype)
     end = 0
-    for block in _kept_blocks(keys, mask):
+    for first, counts, block in _kept_blocks(starts, cols, mask):
+        kept_starts[first + 1 : first + 1 + counts.size] += counts
         out[end : end + block.size] = block
         end += block.size
-    return out
-
-
-def _row_runs(block: np.ndarray, n: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Row runs of a non-empty block of sorted keys: its first row, the key
-    ``i*n`` at which each of its rows i starts, and its key count per row."""
-    first, end = int(block[0]) // n, int(block[-1]) // n + 1
-    row_keys = np.arange(first * n, (end + 1) * n, n, dtype=np.int64)
-    return first, row_keys[:-1], _run_lengths(block, row_keys)
+    return kept_starts.cumsum(out=kept_starts), out
 
 
 def _run_lengths(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     """How many of the sorted ``values`` lie in each [boundaries[i], boundaries[i+1])."""
     ends = values.searchsorted(boundaries)
     return ends[1:] - ends[:-1]
-
-
-def _slots_to_keys(slots: np.ndarray, n: int) -> np.ndarray:
-    """Map sorted unique row-major upper-triangle slot indices to edge keys
-    i*n + j, i < j, in place; returns ``slots``.
-
-    Row i starts at slot i*n - i(i+1)/2, so slot t of row i has key
-    t + (i+1)(i+2)/2: sorted unique slots give sorted unique keys.  Every
-    slot must lie below the slot count C(n, 2), the start of row n.
-    """
-    rows = np.arange(n + 1, dtype=np.int64)
-    tri = rows.cumsum()
-    starts = rows * n - tri
-    for begin in range(0, slots.size, _BLOCK):
-        block = slots[begin : begin + _BLOCK]
-        first = int(starts.searchsorted(block[0], side="right")) - 1
-        end = int(starts.searchsorted(block[-1], side="right"))
-        block += tri[first + 1 : end + 1].repeat(_run_lengths(block, starts[first : end + 1]))
-    return slots
 
 
 @dataclass(frozen=True)
@@ -628,9 +720,9 @@ def generate(params: ModelParams, seed: int) -> CorrelatedInstance:
     check_parent_budget(params)
     n = params.n
     rng = make_rng(seed)
-    keys = _slots_to_keys(_er_edge_slots(n, params.parent_p, rng), n)
-    g_a = Graph(n, keys, _coins(rng, keys.size, params.s))
-    b_prime = Graph(n, keys, _coins(rng, keys.size, params.s))
+    starts, cols = _er_parent(n, params.parent_p, rng)
+    g_a = Graph(n, starts, cols, _coins(rng, cols.size, params.s))
+    b_prime = Graph(n, starts, cols, _coins(rng, cols.size, params.s))
     pi_star = Permutation(rng.permutation(n))
     g_b = b_prime.relabeled(pi_star)
     return CorrelatedInstance(g_a=g_a, g_b=g_b, pi_star=pi_star, params=params, seed=seed)

@@ -11,11 +11,11 @@ compared against integer degrees without rounding.
 Every intersection query builds the intersection graph in A's labels,
 reading B (see ``model.Graph``) through its image followed by the
 permutation's inverse.  Under pi* on a generated instance that read maps
-nothing, and A and B' are packed coin masks over one parent's keys: the
+nothing, and A and B' are packed coin masks over one parent's CSR: the
 intersection graph is the parent under the AND of both masks, and the
 probe counts its degrees over the parent block by block, with no gather,
 map or sort.  Any other permutation maps and sorts B's keys into A's labels
-and intersects them with A's by a sort.
+and searches them, block by block, in A's.
 
 The exhaustive routines enumerate image lists in lexicographic order and
 evaluate them in vectorized batches; results are reported as if the scan
@@ -106,10 +106,10 @@ def intersection_degrees(g_a: Graph, g_b: Graph, pi: Permutation) -> np.ndarray:
 
 def intersection_graph(g_a: Graph, g_b: Graph, pi: Permutation) -> Graph:
     """Graph with edge {i, j} iff A has {i, j} and B has {pi(i), pi(j)},
-    stored as its own keys: under pi* on a generated instance it keeps no
-    reference to the parent's keys."""
+    stored as its own CSR: under pi* on a generated instance it keeps no
+    reference to the parent's."""
     inter = _intersection(g_a, g_b, pi)
-    return Graph(inter.n, inter.edge_keys())
+    return Graph(inter.n, *inter._csr())
 
 
 def is_good(
@@ -175,7 +175,7 @@ def _check_exhaustive_size(n: int, force_large: bool) -> None:
 
 
 def _scan(
-    g_a: Graph, g_b: Graph, budget: int
+    e: np.ndarray, g_b: Graph, budget: int
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """The first ``budget`` image lists in lexicographic order.
 
@@ -183,16 +183,16 @@ def _scan(
     lexicographic order, each followed by the k-table mapped through the
     labels that the prefix leaves.  Yields ``(offset, order, local, matched)``
     per batch: column c of ``order[local]`` is the image list of candidate
-    ``offset + c`` (0-based), and ``matched[e, c]`` says whether A's edge
-    ``e`` (in ``g_a.edges()`` order) lands on an edge of B under it.  B's
-    adjacency is relabeled by ``order`` once per prefix, so the batches
-    gather straight from ``local``.  Callers check the graph sizes first.
+    ``offset + c`` (0-based), and ``matched[j, c]`` says whether A's edge
+    ``e[j]`` lands on an edge of B under it, where ``e`` is ``g_a.edges()``,
+    read once by the caller.  B's adjacency is relabeled by ``order`` once
+    per prefix, so the batches gather straight from ``local``.  Callers
+    check the graph sizes first.
     """
-    n = g_a.n
+    n = g_b.n
     k = min(n, _TABLE_K)
     table = _lex_table(k)
     b_adj = _dense_adjacency(g_b)
-    e = g_a.edges()
     offset = 0
     for prefix in itertools.permutations(range(n), n - k):
         order = np.array(prefix + tuple(x for x in range(n) if x not in prefix), dtype=np.intp)
@@ -249,7 +249,7 @@ def find_good(
     incidence[e[:, 0], cols] = 1.0
     incidence[e[:, 1], cols] = 1.0
 
-    for offset, order, local, matched in _scan(g_a, g_b, budget):
+    for offset, order, local, matched in _scan(e, g_b, budget):
         degrees = incidence @ matched.astype(np.float32)
         hits = np.flatnonzero(np.count_nonzero(degrees >= threshold, axis=0) >= required)
         if hits.size:
@@ -268,7 +268,7 @@ def map_estimate(g_a: Graph, g_b: Graph, force_large: bool = False) -> Permutati
     ceiling = min(g_a.num_edges, g_b.num_edges)
     best_obj = -1
     best: np.ndarray | None = None
-    for _, order, local, matched in _scan(g_a, g_b, math.factorial(n)):
+    for _, order, local, matched in _scan(g_a.edges(), g_b, math.factorial(n)):
         obj = matched.sum(axis=0)
         top = int(obj.argmax())
         if obj[top] > best_obj:

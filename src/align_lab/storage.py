@@ -24,6 +24,9 @@ GB_FILE = "gb.edges"
 PISTAR_FILE = "pistar.perm"
 META_FILE = "meta.json"
 
+# Edges per formatted block of a written graph file.
+_WRITE_BLOCK = 1 << 16
+
 
 def read_text(path: str | Path) -> str:
     """The UTF-8 text of a file; other bytes raise ParameterError."""
@@ -37,7 +40,10 @@ def write_graph(g: Graph, path: str | Path) -> None:
     e = g.edges()
     with open(path, "w") as fh:
         fh.write(f"{g.n} {g.num_edges}\n")
-        fh.writelines(f"{u} {v}\n" for u, v in e)
+        # one %-format of each block's Python ints: no numpy scalar per edge
+        for begin in range(0, len(e), _WRITE_BLOCK):
+            block = e[begin : begin + _WRITE_BLOCK]
+            fh.write("%d %d\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_graph(path: str | Path) -> Graph:

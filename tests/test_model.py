@@ -31,7 +31,7 @@ from align_lab import (
     make_rng,
 )
 from align_lab import model
-from align_lab.model import MAX_NODES, _er_edge_slots, _geometric_gaps, _slots_to_keys
+from align_lab.model import MAX_NODES, _er_parent, _geometric_gaps, _slots_to_csr
 
 # Frozen with a 50-digit mpmath summation of the four cells at q=0.2, s=0.6.
 KL_02_06 = 0.1057337114231780007286040478161704613149249584877
@@ -221,6 +221,12 @@ def _graph_two_images_and_mask(draw):
     return graph, first, second, mask
 
 
+def _masked(g: Graph, keep: np.ndarray) -> Graph:
+    """``g``'s CSR under the packed mask of ``keep``, as ``generate`` stores a copy."""
+    starts, cols, _, _ = g._stored
+    return Graph(g.n, starts, cols, np.packbits(keep, bitorder="little"))
+
+
 def _answers(g: Graph) -> list:
     """The answers of ``g`` to every query, in a fixed order."""
     n = g.n
@@ -239,30 +245,30 @@ def _answers(g: Graph) -> list:
 @settings(max_examples=200, deadline=None)
 @given(_graph_two_images_and_mask(), _BLOCKS)
 def test_deferred_relabel_answers_like_from_edges(case, block):
-    # a relabeled graph stores its source's keys and mask and the (composed)
+    # a relabeled graph stores its source's CSR and mask and the (composed)
     # image; every query must answer as the graph built from its edges
     g, first, second, mask = case
     m, kept = g.num_edges, g.edges()[mask]
     calls = []
     map_keys, gather = model._map_keys, model._gather
 
-    def map_spy(keys, image, n):
-        calls.append(("map", keys.size))
-        return map_keys(keys, image, n)
+    def map_spy(starts, cols, packed, image):
+        calls.append(("map", cols.size))
+        return map_keys(starts, cols, packed, image)
 
-    def gather_spy(keys, packed):
-        calls.append(("gather", keys.size))
-        return gather(keys, packed)
+    def gather_spy(starts, cols, packed):
+        calls.append(("gather", cols.size))
+        return gather(starts, cols, packed)
 
     def masked():
-        return Graph(g.n, g.edge_keys(), np.packbits(mask, bitorder="little"))
+        return _masked(g, mask)
 
     def round_trip(h):
         return pickle.loads(pickle.dumps(h))
 
     once, twice = first[g.edges()], second[first[g.edges()]]
     kept_once, kept_twice = first[kept], second[first[kept]]
-    gathered, gathered_mapped = [("gather", m)], [("gather", m), ("map", len(kept))]
+    gathered = [("gather", m)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_BLOCK", block)
         mp.setattr(model, "_map_keys", map_spy)
@@ -272,9 +278,9 @@ def test_deferred_relabel_answers_like_from_edges(case, block):
             (lambda: g.relabeled(first).relabeled(second), twice, [("map", m)]),
             (lambda: round_trip(g.relabeled(first).relabeled(second)), twice, [("map", m)]),
             (masked, kept, gathered),
-            (lambda: masked().relabeled(first), kept_once, gathered_mapped),
-            (lambda: masked().relabeled(first).relabeled(second), kept_twice, gathered_mapped),
-            (lambda: round_trip(masked().relabeled(first).relabeled(second)), kept_twice, gathered_mapped),
+            (lambda: masked().relabeled(first), kept_once, [("map", m)]),
+            (lambda: masked().relabeled(first).relabeled(second), kept_twice, [("map", m)]),
+            (lambda: round_trip(masked().relabeled(first).relabeled(second)), kept_twice, [("map", m)]),
         ):
             expected = Graph.from_edges(g.n, edges)
             want = _answers(expected)
@@ -286,7 +292,8 @@ def test_deferred_relabel_answers_like_from_edges(case, block):
             h = make()
             assert h == expected and expected == h and hash(h) == hash(expected)
             assert round_trip(h) == expected
-            # the first query gathers and maps once; later ones reuse the keys
+            # the first query gathers or maps once, reading the mask as it
+            # maps; later ones reuse the CSR
             calls.clear()
             _answers(make())
             assert calls == reads
@@ -294,9 +301,47 @@ def test_deferred_relabel_answers_like_from_edges(case, block):
 
 @settings(max_examples=200, deadline=None)
 @given(_graph_two_images_and_mask(), _BLOCKS)
+def test_stored_csr_answers_like_from_edges_of_its_edges(case, block):
+    # a masked graph relabeled zero, one and two times answers every query
+    # as the graph built from its own edges does, with int64 edges and keys
+    g, first, second, mask = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_BLOCK", block)
+        for make in (
+            lambda: _masked(g, mask),
+            lambda: _masked(g, mask).relabeled(first),
+            lambda: _masked(g, mask).relabeled(first).relabeled(second),
+        ):
+            edges = make().edges()
+            assert edges.dtype == np.int64 and make().edge_keys().dtype == np.int64
+            assert _answers(make()) == _answers(Graph.from_edges(g.n, edges))
+
+
+def test_edge_keys_are_exact_above_two_to_the_32():
+    # a uint32 column times n would wrap: the keys are int64 whatever the read
+    n = 10**5
+    image = np.arange(n)
+    image[[0, 1]] = n - 2, n - 1
+    image[[n - 2, n - 1]] = 0, 1
+    key = (n - 2) * n + (n - 1)
+    assert key > 2**32
+    for g in (
+        Graph.from_edges(n, [(n - 2, n - 1)]),
+        Graph.from_edges(n, [(0, 1)]).relabeled(image),
+        _masked(Graph.from_edges(n, [(0, 1), (n - 2, n - 1)]), np.array([False, True])),
+    ):
+        keys, edges = g.edge_keys(), g.edges()
+        assert keys.dtype == np.int64 and keys.tolist() == [key]
+        assert edges.dtype == np.int64 and edges.tolist() == [[n - 2, n - 1]]
+        assert g.has_edge(n - 1, n - 2) and not g.has_edge(0, 1)
+        assert g.neighbors(n - 1).tolist() == [n - 2] and g.degrees().sum() == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_two_images_and_mask(), _BLOCKS)
 def test_degrees_count_the_stored_form(case, block):
     # a masked graph, relabeled zero, one and two times, counts its degrees
-    # from the parent keys, the packed mask and the image: no gather, map or sort
+    # from the parent CSR, the packed mask and the image: no gather, map or sort
     g, first, second, mask = case
     calls = []
     map_keys, gather = model._map_keys, model._gather
@@ -308,7 +353,7 @@ def test_degrees_count_the_stored_form(case, block):
         return wrapped
 
     def masked():
-        return Graph(g.n, g.edge_keys(), np.packbits(mask, bitorder="little"))
+        return _masked(g, mask)
 
     kept = g.edges()[mask]
     with pytest.MonkeyPatch.context() as mp:
@@ -328,12 +373,12 @@ def test_degrees_count_the_stored_form(case, block):
 
 
 def test_deferred_keys_read_by_threads_at_once():
-    # the keys and their image live in one slot: a reader that paired the
-    # mapped keys with the old image would map them twice
+    # the CSR and its image live in one slot: a reader that paired the
+    # mapped CSR with the old image would map it twice
     rng = make_rng(7)
-    # any sorted unique slots below C(n, 2) are edge keys after _slots_to_keys
+    # any sorted unique slots below C(n, 2) are edges after _slots_to_csr
     slots = np.sort(rng.choice(4000 * 3999 // 2, 300_000, replace=False))
-    g = Graph(4000, _slots_to_keys(slots, 4000))
+    g = Graph(4000, *_slots_to_csr(slots, 4000))
     image = rng.permutation(4000)
     expected = Graph.from_edges(4000, image[g.edges()]).edge_keys()
     interval = sys.getswitchinterval()
@@ -383,8 +428,9 @@ def test_slots_to_keys_at_row_boundaries(n):
     # sorted unique rows: at n = 3, rows 0 and 1 are also n - 3 and n - 2
     rows = tuple(sorted({0, 1, n - 3, n - 2}))
     expected = [pair for i in rows for pair in ([i, i + 1], [i, n - 1])]
-    keys = _slots_to_keys(np.array(_boundary_slots(n, rows), dtype=np.int64), n)
-    assert np.column_stack(np.divmod(keys, n)).tolist() == expected
+    starts, cols = _slots_to_csr(np.array(_boundary_slots(n, rows), dtype=np.int64), n)
+    assert cols.dtype == np.uint32 and starts.dtype == np.int64 and starts.size == n + 1
+    assert Graph(n, starts, cols).edges().tolist() == expected
 
 
 def _slots_to_keys_by_slot(slots: np.ndarray, n: int) -> np.ndarray:
@@ -415,12 +461,13 @@ _HUGE_ROWS = (0, 1, _HUGE_N // 2, _HUGE_N - 3, _HUGE_N - 2)
 def test_slots_to_keys_matches_per_slot_search(case, block):
     n, slots = case
     expected = _slots_to_keys_by_slot(slots, n)
-    given_slots = slots.copy()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_BLOCK", block)
-        keys = _slots_to_keys(given_slots, n)
-    assert keys is given_slots  # mapped in place
-    assert keys.dtype == np.int64 and np.array_equal(keys, expected)
+        starts, cols = _slots_to_csr(slots.copy(), n)
+    assert cols.dtype == np.uint32 and np.array_equal(cols, expected % n)
+    assert starts.dtype == np.int64
+    assert np.array_equal(starts, expected.searchsorted(np.arange(n + 1) * n))
+    assert np.array_equal(Graph(n, starts, cols).edge_keys(), expected)
 
 
 # -- generator ----------------------------------------------------------------
@@ -461,33 +508,42 @@ def _block_sizes(block: int) -> list[int]:
 _SELECT_SIZES = _block_sizes(model._BLOCK)
 
 
+def _csr_of_size(size: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(n, starts, cols)`` of a graph of ``size`` edges at every third
+    slot, so that its rows hold a few edges each."""
+    n = math.isqrt(6 * size) + 2
+    return (n, *_slots_to_csr(np.arange(size, dtype=np.int64) * 3, n))
+
+
 def _packed(keep: np.ndarray) -> np.ndarray:
     return np.packbits(keep, bitorder="little")
 
 
 @pytest.mark.parametrize("size", _SELECT_SIZES)
 def test_select_matches_whole_array_coins(size):
-    # the same coins, packed eight to a byte, and the same kept keys as one
+    # the same coins, packed eight to a byte, and the same kept edges as one
     # whole-array coin draw, and the same generator state after
-    keys = np.arange(size, dtype=np.int64) * 3 + 1
+    n, starts, cols = _csr_of_size(size)
     drawn, reference = make_rng(5), make_rng(5)
     coins = model._coins(drawn, size, 0.5)
     expected = reference.random(size) < 0.5
     assert coins.dtype == np.uint8 and np.array_equal(coins, _packed(expected))
     assert drawn.random() == reference.random()
     assert model._count_bits(coins) == np.count_nonzero(expected)
-    kept = model._gather(keys, coins)
-    assert kept.dtype == np.int64 and np.array_equal(kept, keys[expected])
+    kept = Graph(n, *model._gather(starts, cols, coins))
+    assert np.array_equal(kept.edge_keys(), Graph(n, starts, cols).edge_keys()[expected])
 
 
 @pytest.mark.parametrize("index", range(len(_SELECT_SIZES)))
 @pytest.mark.parametrize("block", [model._BLOCK, 1, 3, 7])
 def test_gather_matches_boolean_index(block, index, monkeypatch):
     # one packed mask, the AND of two and one that keeps all, at block
-    # boundaries of each block size; the passes step by whole mask bytes
+    # boundaries of each block size; the passes step by whole mask bytes,
+    # and row runs straddle them
     size = _block_sizes(block)[index]
     rng = make_rng(size)
-    keys = np.arange(size, dtype=np.int64) * 3 + 1
+    n, starts, cols = _csr_of_size(size)
+    rows = np.arange(n).repeat(np.diff(starts))
     first, second = rng.random(size) < 0.5, rng.random(size) < 0.7
     monkeypatch.setattr(model, "_BLOCK", block)
     for packed, keep in (
@@ -496,29 +552,34 @@ def test_gather_matches_boolean_index(block, index, monkeypatch):
         (_packed(np.ones(size, dtype=bool)), np.ones(size, dtype=bool)),
     ):
         assert model._count_bits(packed) == np.count_nonzero(keep)
-        kept = model._gather(keys, packed)
-        assert kept.dtype == np.int64 and np.array_equal(kept, keys[keep])
-        assert kept.base is None and not np.shares_memory(kept, keys)
+        kept_starts, kept_cols = model._gather(starts, cols, packed)
+        assert kept_cols.dtype == np.uint32 and np.array_equal(kept_cols, cols[keep])
+        assert kept_starts.dtype == np.int64
+        assert kept_starts.size == n + 1 and kept_starts[0] == 0
+        assert np.array_equal(np.diff(kept_starts), np.bincount(rows[keep], minlength=n))
+        for out, source in ((kept_starts, starts), (kept_cols, cols)):
+            assert out.base is None and not np.shares_memory(out, source)
 
 
 @pytest.mark.parametrize("owned", [True, False], ids=["owned-resize", "view"])
 @pytest.mark.parametrize("size", _GAP_SIZES)
 def test_slot_draw_trims_to_the_parent_keys(size, owned, monkeypatch):
-    # a slot buffer of ``size`` entries (int(C(n, 2) p 1.2) + 64) is shrunk in
-    # place to its used part from _TRIM_MIN_BYTES on, and cut to a view of it
-    # below; both give the parent's keys
+    # a column buffer of ``size`` entries (int(C(n, 2) p 1.2) + 64) is shrunk
+    # in place to its used part from _TRIM_MIN_BYTES on, and cut to a view of
+    # it below; both give the parent's edges
     n = 2000
     p = (size - 63.5) / (1.2 * math.comb(n, 2))
-    monkeypatch.setattr(model, "_TRIM_MIN_BYTES", 0 if owned else size * 8 + 1)
+    monkeypatch.setattr(model, "_TRIM_MIN_BYTES", 0 if owned else size * 4 + 1)
     drawn, reference = make_rng(5), make_rng(5)
-    slots = _er_edge_slots(n, p, drawn)
+    starts, cols = _er_parent(n, p, drawn)
     expected = _parent_keys_by_geometric(n, p, reference)
-    assert np.array_equal(_slots_to_keys(slots, n), expected)
+    assert starts.dtype == np.int64 and cols.dtype == np.uint32
+    assert np.array_equal(Graph(n, starts, cols).edge_keys(), expected)
     assert drawn.random() == reference.random()
     if owned:
-        assert slots.flags.owndata and slots.size == expected.size
+        assert cols.flags.owndata and cols.size == expected.size
     else:
-        assert slots.base.size == size and slots.size == expected.size
+        assert cols.base.size == size and cols.size == expected.size
 
 
 @pytest.mark.parametrize(
@@ -532,17 +593,51 @@ def test_slot_draw_trims_to_the_parent_keys(size, owned, monkeypatch):
 )
 def test_slot_draw_past_the_last_slot_keeps_the_stream(n, p, block, monkeypatch):
     # the draw passes C(n, 2) blocks before its batch ends; the rest of the
-    # batch is drawn into a spare block, and the keys and the next variate are
-    # those of one whole-batch rng.geometric draw
+    # batch is drawn into the reused block buffer, and the edges and the next
+    # variate are those of one whole-batch rng.geometric draw
     monkeypatch.setattr(model, "_BLOCK", block)
     batch = max(model._GEOM_BATCH_MIN, int(math.comb(n, 2) * p * 1.2) + 64)
     drawn, reference = make_rng(3), make_rng(3)
-    slots = _er_edge_slots(n, p, drawn)
+    starts, cols = _er_parent(n, p, drawn)
     expected = _parent_keys_by_geometric(n, p, reference)
     # the gap that passes C(n, 2), at index expected.size, lies before the
-    # batch's last block, so at least one block goes to the spare
+    # batch's last block, so at least one block is drawn past it
     assert expected.size < (batch - 1) // block * block
-    assert np.array_equal(_slots_to_keys(slots, n), expected)
+    assert np.array_equal(Graph(n, starts, cols).edge_keys(), expected)
+    assert drawn.random() == reference.random()
+
+
+@pytest.mark.parametrize(
+    "n,p,block",
+    [
+        (200, 0.05, 7),  # inversion, batches of 312 gaps for about 995 edges
+        (60, 0.5, 3),  # search, batches of 285 gaps for about 885 edges
+        (600, 0.05, model._BLOCK),  # inversion, batches of 2310 gaps, one block each
+        (300, 0.5, 1000),  # search, batches of 5670 gaps, six blocks each
+    ],
+)
+def test_slot_draw_across_batches_keeps_the_stream(n, p, block, monkeypatch):
+    # batches of about a quarter of the expected edge count run out before
+    # C(n, 2): the column buffers of the batches are concatenated, and the
+    # edges and the next variate are those of whole-batch rng.geometric draws
+    monkeypatch.setattr(model, "_BLOCK", block)
+    monkeypatch.setattr(model, "_GEOM_BATCH_MIN", 16)
+    monkeypatch.setattr(model, "_GEOM_OVERSAMPLE", 0.25)
+    drawn, reference = make_rng(3), make_rng(3)
+    draws = []
+    geometric_gaps = model._geometric_gaps
+
+    def spy(rng, p, out, cap):
+        draws.append(out.size)
+        return geometric_gaps(rng, p, out, cap)
+
+    monkeypatch.setattr(model, "_geometric_gaps", spy)
+    starts, cols = _er_parent(n, p, drawn)
+    batch = max(16, int(math.comb(n, 2) * p * model._GEOM_OVERSAMPLE) + 64)
+    assert sum(draws) >= 3 * batch  # three batches or more
+    expected = _parent_keys_by_geometric(n, p, reference, 16, model._GEOM_OVERSAMPLE)
+    assert cols.flags.owndata and cols.size == expected.size
+    assert np.array_equal(Graph(n, starts, cols).edge_keys(), expected)
     assert drawn.random() == reference.random()
 
 
@@ -600,6 +695,18 @@ def test_generate_s1_gives_isomorphic_pair():
     assert inst.g_b.relabeled(inst.pi_star.inverse().as_array()) == inst.g_a
 
 
+@pytest.mark.parametrize("n", [2, 30, 300])
+def test_generate_at_s_equal_q_masks_the_complete_graph(n):
+    # parent p = 1: every slot is an edge and the parent draws no variate,
+    # so A's coins are the first of the stream
+    inst = generate(ModelParams(n, 0.5, 0.5), seed=9)
+    starts, cols, mask, _ = inst.g_a._stored
+    assert Graph(n, starts, cols) == Graph.complete(n)
+    keep = make_rng(9).random(math.comb(n, 2)) < 0.5
+    assert np.array_equal(mask, np.packbits(keep, bitorder="little"))
+    assert inst.g_a == Graph.from_edges(n, Graph.complete(n).edges()[keep])
+
+
 def test_generate_relabel_consistency():
     # B has edge (pi*(i), pi*(j)) exactly when B' has (i, j)
     inst = generate(ModelParams(50, 0.2, 0.7), seed=5)
@@ -611,22 +718,23 @@ def test_generate_relabel_consistency():
 
 
 def test_generate_peak_memory_per_parent_edge():
-    # n = 20000, nqs = 130: 5.2 M parent edges.  The draw peaks at 9.7 B
-    # per parent edge while it fills the slot buffer, which is oversampled
-    # about 1.2 times (9.6 B); trimmed to the parent keys (8 B), it holds
-    # them and the two coin masks packed to bits (0.125 each).  A and B' are
-    # masks over the parent, so nothing is gathered.  Bool masks peaked at
-    # 10.1 B, selecting A beside the parent and compacting B' into its buffer
-    # at 13.1 B, and gathering B' beside the parent and A at 17.1 B.
+    # n = 20000, nqs = 130: 5.2 M parent edges.  The draw peaks at 5.2 B
+    # per parent edge: the uint32 column buffer, oversampled about 1.2 times
+    # (4.8 B), the two coin masks packed to bits (0.125 each) and the O(n)
+    # row tables; the slots live only in one block buffer.  A and B' are
+    # masks over the parent, so nothing is gathered.  The int64 slot buffer
+    # mapped in place to keys peaked at 9.7 B, bool masks at 10.1 B,
+    # selecting A beside the parent and compacting B' into its buffer at
+    # 13.1 B, and gathering B' beside the parent and A at 17.1 B.
     params = ModelParams(20000, 0.013, 0.5)
-    parent_edges = _er_edge_slots(params.n, params.parent_p, make_rng(11)).size
+    parent_edges = _er_parent(params.n, params.parent_p, make_rng(11))[1].size
     tracemalloc.start()
     try:
         generate(params, 11)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * parent_edges
+    assert peak <= 6 * parent_edges
 
 
 def test_generate_marginal_densities():
@@ -659,11 +767,13 @@ def test_generate_matched_pair_moments():
     assert abs(rho_hat - rho) < 0.02
 
 
-def _parent_keys_by_geometric(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+def _parent_keys_by_geometric(
+    n: int, p: float, rng: np.random.Generator, batch_min: int = 1024, oversample: float = 1.2
+) -> np.ndarray:
     """Oracle: the parent's sorted edge keys from whole batches of
     ``rng.geometric`` gaps, the generator's batch rule and a per-slot map."""
     total = n * (n - 1) // 2
-    batch = max(1024, int(total * p * 1.2) + 64)
+    batch = max(batch_min, int(total * p * oversample) + 64)
     chunks, last = [], -1
     while last < total:
         chunks.append(last + np.cumsum(rng.geometric(p, size=batch)))
@@ -687,11 +797,11 @@ def test_intersection_under_pistar_is_parent_kept_in_both(n, q, s, seed):
     assert np.array_equal(rng.permutation(n), inst.pi_star.as_array())
     both = parent[keep_a & keep_b]
     inter = intersection_graph(inst.g_a, inst.g_b, inst.pi_star)
-    # the returned graph holds its own keys, not the parent's under a mask
-    keys, mask, image = inter._stored
+    # the returned graph holds its own CSR, not the parent's under a mask
+    starts, cols, mask, image = inter._stored
     assert mask is None and image is None
-    assert not np.shares_memory(keys, inst.g_a._stored[0])
-    assert np.array_equal(keys, both)
+    assert not np.shares_memory(cols, inst.g_a._stored[1])
+    assert np.array_equal(inter.edge_keys(), both)
 
     u, v = np.divmod(both, n)
     deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)

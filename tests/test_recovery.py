@@ -35,7 +35,7 @@ from align_lab import (
     overlap_objective,
     recovery,
 )
-from align_lab.model import _er_edge_slots
+from align_lab.model import _er_parent
 
 
 def _random_graph(n: int, p: float, rng) -> Graph:
@@ -166,14 +166,16 @@ def _stored_forms(g_a: Graph, g: Graph, pi: Permutation) -> list[tuple[Graph, Gr
     ``g`` through pi (so that read in A's labels it maps nothing) and
     through another image (so that it does).  The relabeled forms come once
     with ``g_a`` as built and once as ``generate`` stores A and B': two
-    masks over one parent's keys, here the union of A's and ``g``'s.  Last,
-    A too is relabeled, so that it shares B's keys but not its labels."""
+    masks over one parent's CSR, here that of the union of A's and ``g``'s
+    edges.  Last, A too is relabeled, so that it shares B's CSR but not its
+    labels."""
     n = g.n
     image, other = pi.as_array(), pi.as_array()[::-1]
     parent = np.union1d(g_a.edge_keys(), g.edge_keys())
+    csr = model._keys_to_csr(parent, n)
 
     def masked(h):
-        return Graph(n, parent, np.packbits(np.isin(parent, h.edge_keys()), bitorder="little"))
+        return Graph(n, *csr, np.packbits(np.isin(parent, h.edge_keys()), bitorder="little"))
 
     forms = [(g_a, g)]
     for x in (image, other):
@@ -208,7 +210,7 @@ _LOW_HIGH6 = (
 def test_matched_keys_match_searchsorted_probe(case):
     g_a, g, pi = case
     for a, b in _stored_forms(g_a, g, pi):
-        # the probe runs before anything reads A's or B's keys, so it sees their stored forms
+        # the probe runs before anything reads A's or B's edges, so it sees their stored forms
         keys = model._intersection(a, b, pi).edge_keys()
         expected = _matched_keys_by_probe(a, b, pi)
         assert keys.dtype == expected.dtype and np.all(keys[1:] > keys[:-1])
@@ -272,12 +274,12 @@ def test_is_good_histogram_covers_all_nodes():
 def test_is_good_extra_peak_memory_per_parent_edge():
     # n = 20000, nqs = 130: 5.2 M parent edges.  The probe ANDs the two
     # packed coin masks (0.125 B per parent edge) and counts degrees from the
-    # parent keys under that mask block by block, so the peak is the mask and
-    # the O(n) degree arrays: 0.19 B.  Gathering the matches (2 B per parent
+    # parent CSR under that mask block by block, so the peak is the mask and
+    # the O(n) degree arrays: 0.20 B.  Gathering the matches (2 B per parent
     # edge) peaked at 2.1 B, a copy of A's keys merged with B' block by block
     # at 4.2 B, one buffer of m_A + m_B keys at 8.2 B.
     params = ModelParams(20000, 0.013, 0.5)
-    parent_edges = _er_edge_slots(params.n, params.parent_p, make_rng(11)).size
+    parent_edges = _er_parent(params.n, params.parent_p, make_rng(11))[1].size
     inst = generate(params, 11)
     tracemalloc.start()
     try:
@@ -291,20 +293,20 @@ def test_is_good_extra_peak_memory_per_parent_edge():
 
 def test_pistar_trial_neither_maps_nor_sorts_b_or_a():
     # A and B' are masks over one parent and B stores B' with pi* as its image,
-    # so under pi* the probe counts degrees over the parent keys under both
+    # so under pi* the probe counts degrees over the parent CSR under both
     # masks: it gathers, maps and sorts nothing, and B stays unmapped after
     # the trial
     params = ModelParams(2000, 0.02, 0.5)
     calls = []
     map_keys, gather, intersect1d = model._map_keys, model._gather, np.intersect1d
 
-    def map_spy(keys, image, n):
+    def map_spy(*args):
         calls.append("map")
-        return map_keys(keys, image, n)
+        return map_keys(*args)
 
-    def gather_spy(keys, mask):
+    def gather_spy(*args):
         calls.append("gather")
-        return gather(keys, mask)
+        return gather(*args)
 
     def intersect_spy(*args, **kwargs):
         calls.append("intersect1d")
@@ -316,7 +318,7 @@ def test_pistar_trial_neither_maps_nor_sorts_b_or_a():
         mp.setattr(np, "intersect1d", intersect_spy)
         inst = generate(params, 11)
         report = is_good(inst.g_a, inst.g_b, inst.pi_star, params, 0.5)
-        _, _, image = inst.g_b._stored
+        _, _, _, image = inst.g_b._stored
         assert calls == [] and image is not None
     built = Graph.from_edges(params.n, inst.g_b.edges())
     assert report == is_good(inst.g_a, built, inst.pi_star, params, 0.5)
@@ -328,13 +330,13 @@ def test_pistar_intersection_graph_stores_no_image():
     params = ModelParams(2000, 0.02, 0.5)
     inst = generate(params, 11)
     inter = intersection_graph(inst.g_a, inst.g_b, inst.pi_star)
-    assert inter._stored[2] is None
+    assert inter._stored[3] is None
     calls = []
     map_keys = model._map_keys
 
-    def map_spy(keys, image, n):
+    def map_spy(*args):
         calls.append("map")
-        return map_keys(keys, image, n)
+        return map_keys(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_map_keys", map_spy)
@@ -363,19 +365,20 @@ def test_pistar_trial_resident_memory_per_parent_edge():
     # tracemalloc counts allocations, not resident pages, and resident pages
     # are what the benchmark's peak_rss_mb reads: a view that kept the slot
     # buffer's oversampled tail resident showed only here.  One trial grows
-    # 9.9 B per parent edge, 8.4 of them the parent keys, its two packed coin
-    # masks and their AND; the slot buffer's tail past the last slot is never
-    # written.  Bool masks, the written tail and the gathered matches grew
-    # 13.5 (14.6 with A selected and B' compacted into the parent, 18.6 with
-    # B' beside the parent and the m_A + m_B probe buffer, 25.1 with that
-    # view and compress's index).
+    # about 6.2 B per parent edge, 4.4 of them the parent's uint32 columns,
+    # its two packed coin masks and their AND; the column buffer's tail past
+    # the last slot is never written.  The parent's int64 keys grew 9.9, and
+    # bool masks, the written tail and the gathered matches 13.5 (14.6 with
+    # A selected and B' compacted into the parent, 18.6 with B' beside the
+    # parent and the m_A + m_B probe buffer, 25.1 with that view and
+    # compress's index).
     # Resident pages depend on numpy's allocator and on the C library, and
-    # the 1.1 B of headroom was measured with numpy 2.4.6 only.
+    # the 0.8 B of headroom was measured with numpy 2.4.6 only.
     pytest.importorskip("resource")
     if np.__version__ != "2.4.6":
         pytest.skip("resident growth measured with numpy 2.4.6 only")
     params = ModelParams(20000, 0.013, 0.5)
-    parent_edges = _er_edge_slots(params.n, params.parent_p, make_rng(11)).size
+    parent_edges = _er_parent(params.n, params.parent_p, make_rng(11))[1].size
     src = str(Path(recovery.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     # On Linux a process starts from its parent's ru_maxrss, kept through
@@ -387,7 +390,7 @@ def test_pistar_trial_resident_memory_per_parent_edge():
     )
     before, after = map(int, out.stdout.split())
     unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in kB on Linux
-    assert (after - before) * unit <= 11 * parent_edges
+    assert (after - before) * unit <= 7 * parent_edges
 
 
 def test_is_good_alpha_validation():
@@ -521,9 +524,9 @@ def scanned(monkeypatch):
     counts: list[int] = []
     real_scan = recovery._scan
 
-    def spy(g_a, g_b, budget):
+    def spy(e, g_b, budget):
         counts.append(0)
-        for item in real_scan(g_a, g_b, budget):
+        for item in real_scan(e, g_b, budget):
             counts[-1] += item[-1].shape[1]
             yield item
 
@@ -623,7 +626,7 @@ def test_scan_walks_prefixes_in_itertools_order(n):
     # 2 * 8! + 5 rows cross two prefix boundaries of the 8-table
     budget = 2 * math.factorial(8) + 5
     g = Graph.empty(n)
-    rows = np.concatenate([order[local].T for _, order, local, _ in recovery._scan(g, g, budget)])
+    rows = np.concatenate([order[local].T for _, order, local, _ in recovery._scan(g.edges(), g, budget)])
     expected = np.array(list(itertools.islice(itertools.permutations(range(n)), budget)))
     assert np.array_equal(rows, expected)
 
