@@ -26,19 +26,23 @@ copy B', then the permutation.  Identical ``(params, seed)`` therefore gives
 a bit-identical instance.
 
 Every graph is stored as a CSR of its upper triangle: ``starts``, int64 of
-length n + 1, and ``cols``, the uint32 upper endpoint of each edge, sorted
-within each row (see ``Graph``).  The parent is drawn straight into that
-form: each block of gaps is summed into slots in one reused block buffer,
-and while the block is in cache its upper endpoints go to a uint32 buffer
-one batch long and its count per row to the row counts, whose cumsum is
-``starts``.  The gaps a batch draws past C(n, 2) fill the same block
-buffer, so the column buffer's tail is never written.  A and B' are that
-CSR under two masks of retention coins, packed eight to a byte, and B is
-B' relabeled through the permutation; a graph gathers, or maps and sorts,
-its edges only when a query reads them.  A draw thus holds about 4.3 bytes per
-parent edge: the parent's columns and the two packed masks.  Under pi* the
-intersection graph is the parent under the AND of both masks, and the
-goodness test counts its degrees from that stored form.
+length n + 1, and ``cols``, the upper endpoint of each edge, sorted within
+each row (see ``Graph``).  ``cols`` has the smallest unsigned type that
+holds n - 1: uint8 up to 256 nodes, uint16 up to 65 536 and uint32 above.
+Arithmetic on it with a Python int stays in that type and wraps, so every
+key or product with n is computed in int64.  The parent is drawn straight
+into that form: each block of gaps is summed into slots in one reused
+block buffer, and while the block is in cache its upper endpoints go to a
+column buffer one batch long and its count per row to the row counts,
+whose cumsum is ``starts``.  The gaps a batch draws past C(n, 2) fill the
+same block buffer, so the column buffer's tail is never written.  A and B'
+are that CSR under two masks of retention coins, packed eight to a byte,
+and B is B' relabeled through the permutation; a graph gathers, or maps
+and sorts, its edges only when a query reads them.  A draw thus holds
+about 2.3 bytes per parent edge up to 65 536 nodes and 4.3 above: the
+parent's columns and the two packed masks.  Under pi* the intersection
+graph is the parent under the AND of both masks, and the goodness test
+counts its degrees from that stored form.
 
 The O(m) passes of a draw work through their arrays in blocks of
 ``_BLOCK`` elements, rounded up to whole mask bytes where a pass reads a
@@ -76,7 +80,7 @@ MAX_PARENT_EDGES = 200_000_000
 
 # Refuse more nodes than this: generate also holds O(n) arrays, C(n, 2)
 # must stay below 2**53 for the float clip of the geometric gaps, and every
-# upper endpoint must fit in the uint32 columns of a graph's CSR.
+# upper endpoint must fit in uint32, the widest column type of a graph's CSR.
 MAX_NODES = 10**8
 
 _GEOM_BATCH_MIN = 1024
@@ -242,20 +246,21 @@ class Graph:
     Stored as a CSR of its upper triangle, a mask and an image array: row u
     holds the upper endpoints v > u of u's edges in ``cols[starts[u] :
     starts[u + 1]]``, sorted, with ``starts`` int64 of length n + 1 and
-    ``cols`` uint32.  The graph's edges are the entries the mask keeps,
-    mapped through the image (a mask or image of None keeps or maps
-    nothing).  The mask is packed eight entries to a byte
+    ``cols`` the smallest unsigned type that holds n - 1; the constructor
+    converts arrays of other dtypes.  The graph's edges are the entries the
+    mask keeps, mapped through the image (a mask or image of None keeps or
+    maps nothing).  The mask is packed eight entries to a byte
     (``np.packbits(keep, bitorder="little")``), so a generated A and B,
-    which share the parent's CSR, hold about 4.3 bytes per parent edge
-    together.  ``relabeled`` stores its source's CSR and mask with the
-    composed image; ``num_edges`` counts the mask's bits and ``degrees``
-    counts from the stored form; the first query that reads the edges
-    gathers them, or maps and sorts them, and stores their CSR alone.  Edge keys
-    ``u*n + v`` are computed from it on each call.  Per-node neighbor
-    arrays are built on the first call to ``neighbors``.  The CSR, mask and
-    image share one slot, replaced in a single assignment, so the graph
-    never changes as seen from outside and is safe to share across threads
-    and processes.
+    which share the parent's CSR, hold about 2.3 bytes per parent edge
+    together up to 65 536 nodes and 4.3 above.  ``relabeled`` stores its
+    source's CSR and mask with the composed image; ``num_edges`` counts the
+    mask's bits and ``degrees`` counts from the stored form; the first query
+    that reads the edges gathers them, or maps and sorts them, and stores
+    their CSR alone.  Edge keys ``u*n + v`` are int64, computed from it on
+    each call.  Per-node neighbor arrays are built on the first call to
+    ``neighbors``.  The CSR, mask and image share one slot, replaced in a
+    single assignment, so the graph never changes as seen from outside and
+    is safe to share across threads and processes.
     """
 
     __slots__ = ("n", "_stored", "_adjacency")
@@ -265,6 +270,10 @@ class Graph:
         mask: np.ndarray | None = None, image: np.ndarray | None = None,
     ):
         self.n = int(n)
+        # one dtype each per n, so that equal graphs hash alike; the same
+        # arrays when they already have it
+        starts = starts.astype(np.int64, copy=False)
+        cols = cols.astype(_col_dtype(self.n), copy=False)
         starts.setflags(write=False)
         cols.setflags(write=False)
         self._stored = (starts, cols, mask, image)
@@ -416,6 +425,12 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges})"
 
 
+def _col_dtype(n: int) -> np.dtype:
+    """The dtype of a CSR's columns on n nodes: the smallest unsigned type
+    that holds n - 1."""
+    return np.min_scalar_type(n - 1)
+
+
 def _rows(starts: np.ndarray) -> np.ndarray:
     """The row (lower endpoint) of each entry of a CSR, int64."""
     return np.arange(starts.size - 1, dtype=np.int64).repeat(starts[1:] - starts[:-1])
@@ -424,7 +439,7 @@ def _rows(starts: np.ndarray) -> np.ndarray:
 def _keys_to_csr(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The CSR of the sorted unique edge keys ``keys``."""
     starts = keys.searchsorted(np.arange(n + 1, dtype=np.int64) * n)
-    cols = np.empty(keys.size, dtype=np.uint32)
+    cols = np.empty(keys.size, dtype=_col_dtype(n))
     for begin in range(0, keys.size, _BLOCK):
         cols[begin : begin + _BLOCK] = keys[begin : begin + _BLOCK] % n
     return starts, cols
@@ -494,43 +509,46 @@ def _intersection(g_a: Graph, g_b: Graph, pi: Permutation) -> Graph:
     return Graph(n, *_keys_to_csr(common, n))
 
 
-def _slot_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The row-major upper-triangle slot order on n nodes: the first slot
-    of each row, n + 1 of them (rows n - 1 and n start at C(n, 2)), and the
-    shift that takes a slot of row i to its upper endpoint.
+def _row_first_slots(n: int) -> np.ndarray:
+    """The first slot of each row in the row-major upper-triangle slot
+    order on n nodes, n + 1 of them (rows n - 1 and n start at C(n, 2)).
 
-    Row i starts at slot i*n - i(i+1)/2, so slot t of row i has upper
-    endpoint t + (i+1)(i+2)/2 - i*n.
+    Row i starts at slot i*n - i(i+1)/2, and its first slot has upper
+    endpoint i + 1.
     """
-    rows = np.arange(n + 1, dtype=np.int64)
-    tri = rows.cumsum()
-    return rows * n - tri, tri[1:] - rows[:-1] * n
+    first_slots = np.arange(n + 1, dtype=np.int64)
+    tri = first_slots.cumsum()
+    first_slots *= n
+    first_slots -= tri
+    return first_slots
 
 
 def _place_slots(
-    slots: np.ndarray, tables: tuple[np.ndarray, np.ndarray], counts: np.ndarray, out: np.ndarray
+    slots: np.ndarray, first_slots: np.ndarray, counts: np.ndarray, out: np.ndarray
 ) -> None:
     """Write the upper endpoints of a non-empty block of sorted unique
     slots, all below C(n, 2), to the front of ``out`` and add their count
-    per row i to ``counts[i + 1]``; maps ``slots`` in place.  ``tables`` is
-    ``_slot_tables(n)``."""
-    first_slots, shift = tables
+    per row i to ``counts[i + 1]``; maps ``slots`` in place.
+    ``first_slots`` is ``_row_first_slots(n)``."""
     first = int(first_slots.searchsorted(slots[0], side="right")) - 1
     end = int(first_slots.searchsorted(slots[-1], side="right"))
     run = _run_lengths(slots, first_slots[first : end + 1])
     counts[first + 1 : end + 1] += run
-    slots += shift[first:end].repeat(run)
+    # slot t of row i has upper endpoint t + (i + 1) - first_slots[i]
+    shift = np.arange(first + 1, end + 1, dtype=np.int64)
+    shift -= first_slots[first:end]
+    slots += shift.repeat(run)
     out[: slots.size] = slots
 
 
 def _slots_to_csr(slots: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The CSR of the edges at sorted unique row-major slots, all below
     C(n, 2), placed block by block; maps ``slots`` in place."""
-    tables = _slot_tables(n)
+    first_slots = _row_first_slots(n)
     counts = np.zeros(n + 1, dtype=np.int64)
-    cols = np.empty(slots.size, dtype=np.uint32)
+    cols = np.empty(slots.size, dtype=_col_dtype(n))
     for begin in range(0, slots.size, _BLOCK):
-        _place_slots(slots[begin : begin + _BLOCK], tables, counts, cols[begin:])
+        _place_slots(slots[begin : begin + _BLOCK], first_slots, counts, cols[begin:])
     return counts.cumsum(out=counts), cols
 
 
@@ -542,16 +560,17 @@ def _er_parent(n: int, p: float, rng: np.random.Generator) -> tuple[np.ndarray, 
     O(m) rather than O(n^2).  Batch sizes depend only on (n, p) and the drawn
     values, keeping the consumed stream deterministic.  Each block of gaps
     is summed into slots in one reused block buffer, and its upper endpoints
-    go straight to the batch's uint32 column buffer.  C(n, 2) must stay
+    go straight to the batch's column buffer.  C(n, 2) must stay
     below 2**53 (``MAX_NODES``), the bound ``_geometric_gaps`` needs.
     """
     total = n * (n - 1) // 2
     if p >= 1.0:
         return _slots_to_csr(np.arange(total, dtype=np.int64), n)
     counts = np.zeros(n + 1, dtype=np.int64)
+    dtype = _col_dtype(n)
     if p <= 0.0 or total == 0:
-        return counts, np.empty(0, dtype=np.uint32)
-    tables = _slot_tables(n)
+        return counts, np.empty(0, dtype=dtype)
+    first_slots = _row_first_slots(n)
     batch = max(_GEOM_BATCH_MIN, int(total * p * _GEOM_OVERSAMPLE) + 64)
     # half-size gap blocks: at _BLOCK a draw at n = 2000, nqs >= 8 faulted in
     # some 75 fresh heap pages (ru_minflt), which glibc's malloc had trimmed
@@ -560,7 +579,7 @@ def _er_parent(n: int, p: float, rng: np.random.Generator) -> tuple[np.ndarray, 
     chunks = []
     last = -1
     while last < total:
-        cols = np.empty(batch, dtype=np.uint32)
+        cols = np.empty(batch, dtype=dtype)
         written = 0
         for start in range(0, batch, step):
             # a gap past total ends the draw; clipping it keeps the cumsum in
@@ -574,7 +593,7 @@ def _er_parent(n: int, p: float, rng: np.random.Generator) -> tuple[np.ndarray, 
             if last >= total:
                 block = block[: block.searchsorted(total)]
             if block.size:
-                _place_slots(block, tables, counts, cols[written:])
+                _place_slots(block, first_slots, counts, cols[written:])
                 written += block.size
         chunks.append(cols[:written])
     counts.cumsum(out=counts)
