@@ -64,7 +64,11 @@ class Permutation:
         arr = np.asarray(list(image) if not isinstance(image, np.ndarray) else image, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise ParameterError("a permutation needs a non-empty 1-d image list")
-        if not np.array_equal(np.sort(arr), np.arange(arr.size)):
+        # one mark per image, after the range check: n bytes, no sort
+        marks = np.zeros(arr.size, dtype=bool)
+        if arr.min() >= 0 and arr.max() < arr.size:
+            marks[arr] = True
+        if not marks.all():
             raise ParameterError("image list is not a bijection on {0,...,n-1}")
         arr = arr.copy()
         arr.setflags(write=False)

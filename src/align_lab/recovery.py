@@ -14,8 +14,10 @@ permutation's inverse.  Under pi* on a generated instance that read maps
 nothing, and A and B' are packed coin masks over one parent's CSR: the
 intersection graph is the parent under the AND of both masks, and the
 probe counts its degrees over the parent block by block, with no gather,
-map or sort.  Any other permutation maps and sorts B's keys into A's labels
-and searches them, block by block, in A's.
+map or sort.  Under any other permutation A is gathered, B's kept entries
+are mapped into A's labels and sorted, and each block of A's keys is
+searched in them: the intersection graph is A's CSR under a packed mask of
+the A edges found.
 
 The exhaustive routines enumerate image lists in lexicographic order and
 evaluate them in vectorized batches; results are reported as if the scan
@@ -106,8 +108,8 @@ def intersection_degrees(g_a: Graph, g_b: Graph, pi: Permutation) -> np.ndarray:
 
 def intersection_graph(g_a: Graph, g_b: Graph, pi: Permutation) -> Graph:
     """Graph with edge {i, j} iff A has {i, j} and B has {pi(i), pi(j)},
-    stored as its own CSR: under pi* on a generated instance it keeps no
-    reference to the parent's."""
+    stored as its own CSR: the parent's CSR (under pi* on a generated
+    instance) or A's (otherwise), gathered under the mask of those edges."""
     inter = _intersection(g_a, g_b, pi)
     return Graph(inter.n, *inter._csr())
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError
-from .model import CorrelatedInstance, Graph, ModelParams
+from .model import CorrelatedInstance, Graph, ModelParams, check_node_count
 from .perms import Permutation
 
 GA_FILE = "ga.edges"
@@ -54,6 +54,8 @@ def read_graph(path: str | Path) -> Graph:
     rows = io.StringIO(body)
     try:
         n, m = int(header[0]), int(header[1])
+        # before any key u*n + v: it overflows int64 above about 3e9 nodes
+        check_node_count(n)
         # loadtxt warns on a blank body; any other body is read whatever m says
         data = (
             np.loadtxt(rows, dtype=np.int64, ndmin=2) if body.strip() else np.empty((0, 2), np.int64)

@@ -177,7 +177,7 @@ def _exhaustive_core(g: Graph, k: float) -> set[int]:
 
 def _random_graph(n: int, p: float, rng) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return Graph.from_edges(n, edges) if edges else Graph.empty(n)
+    return Graph.from_edges(n, edges)
 
 
 def test_criterion_05_k_core_correctness():

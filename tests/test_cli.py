@@ -370,6 +370,24 @@ def test_node_cap_exits_before_any_draw(tmp_path, capsys, monkeypatch):
     assert drawn == [] and not out.exists() and not (tmp_path / "g").exists()
 
 
+def test_graph_file_over_the_node_cap_exits_3(instance_dir, tmp_path, capsys):
+    # the header's n is refused before the O(n) row table or any key u*n + v:
+    # the key of (10, 11) would wrap in int64 and read as unsorted (exit 2)
+    text = "1000000000000000000 2\n0 1\n10 11\n"
+    graph = _file(tmp_path, "huge.edges", text)
+    (instance_dir / "ga.edges").write_text(text)
+    pi_path = tmp_path / "pi.perm"
+    write_permutation(Permutation.identity(7), pi_path)
+    capsys.readouterr()
+    for argv in (
+        ["kcore", "--graph", graph, "--k", "1"],
+        ["check-good", "--instance", str(instance_dir), "--pi", str(pi_path), "--alpha", "0.4"],
+    ):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "node limit" in err and "Traceback" not in err
+
+
 def test_run_over_budget_exits_before_any_trial(tmp_path, capsys, monkeypatch):
     drawn = []
     monkeypatch.setattr(harness, "generate", lambda *args: drawn.append(args))

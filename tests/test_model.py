@@ -31,7 +31,9 @@ from align_lab import (
     make_rng,
 )
 from align_lab import model
-from align_lab.model import MAX_NODES, _er_parent, _geometric_gaps, _slots_to_csr
+from align_lab.model import (
+    MAX_NODES, _er_parent, _geometric_gaps, _row_first_keys, _row_first_slots, _slots_to_csr,
+)
 
 # Frozen with a 50-digit mpmath summation of the four cells at q=0.2, s=0.6.
 KL_02_06 = 0.1057337114231780007286040478161704613149249584877
@@ -142,17 +144,8 @@ def test_graph_basic_structure():
     assert g.num_edges == 3
     assert g.degrees().tolist() == [2, 2, 1, 0, 1]
     assert g.neighbors(0).tolist() == [1, 4]
-    assert g.has_edge(4, 0) and g.has_edge(0, 4)
-    assert not g.has_edge(2, 0)
+    assert g.neighbors(4).tolist() == [0] and g.neighbors(2).tolist() == [1]
     assert g.edges().tolist() == [[0, 1], [0, 4], [1, 2]]
-
-
-@pytest.mark.parametrize("u, v", [(0, 6), (6, 0), (-1, 2), (1, 4)])
-def test_has_edge_rejects_out_of_range_endpoints(u, v):
-    # key 0*4 + 6 = 6 is the key of edge {1, 2}: an unchecked probe would find it
-    g = Graph.from_edges(4, [(1, 2)])
-    with pytest.raises(ParameterError):
-        g.has_edge(u, v)
 
 
 def test_graph_symmetry_invariant():
@@ -175,7 +168,7 @@ def test_graph_rejects_bad_edges(edges):
 
 def test_complete_and_empty():
     assert Graph.complete(4).num_edges == 6
-    assert Graph.empty(4).num_edges == 0
+    assert Graph.from_edges(4, []).num_edges == 0
     assert Graph.complete(4).density() == 1.0
 
 
@@ -183,7 +176,7 @@ def test_relabeled_preserves_structure():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
     image = np.array([3, 2, 1, 0])
     h = g.relabeled(image)
-    assert h.has_edge(3, 2) and h.has_edge(2, 1)
+    assert h.neighbors(2).tolist() == [1, 3]
     assert h.num_edges == g.num_edges
     assert sorted(h.degrees().tolist()) == sorted(g.degrees().tolist())
 
@@ -193,7 +186,7 @@ def _graph_and_image(draw):
     n = draw(st.integers(2, 12))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
     edges = draw(st.lists(pairs, unique_by=lambda e: frozenset(e), max_size=n * (n - 1) // 2))
-    graph = Graph.from_edges(n, edges) if edges else Graph.empty(n)
+    graph = Graph.from_edges(n, edges)
     return graph, np.array(draw(st.permutations(range(n))), dtype=np.int64)
 
 
@@ -230,14 +223,12 @@ def _masked(g: Graph, keep: np.ndarray) -> Graph:
 def _answers(g: Graph) -> list:
     """The answers of ``g`` to every query, in a fixed order."""
     n = g.n
-    pairs = [(u, v) for u in range(n) for v in range(n)]
     return [
         g.num_edges,
         g.edge_keys().tolist(),
         g.edges().tolist(),
         g.degrees().tolist(),
         [g.neighbors(i).tolist() for i in range(n)],
-        [g.has_edge(u, v) for u, v in pairs],
         hash(g),
     ]
 
@@ -333,8 +324,8 @@ def _check_top_edge_is_exact(n: int) -> None:
         keys, edges = g.edge_keys(), g.edges()
         assert keys.dtype == np.int64 and keys.tolist() == [key]
         assert edges.dtype == np.int64 and edges.tolist() == [[n - 2, n - 1]]
-        assert g.has_edge(n - 1, n - 2) and not g.has_edge(0, 1)
-        assert g.neighbors(n - 1).tolist() == [n - 2] and g.degrees().sum() == 2
+        assert g.neighbors(n - 1).tolist() == [n - 2] and g.neighbors(0).size == 0
+        assert g.degrees().sum() == 2
 
 
 def test_edge_keys_are_exact_above_two_to_the_32():
@@ -374,8 +365,8 @@ def _edges_at_width_limits(draw):
 
 
 def _queries(g: Graph, nodes: list[int]) -> list:
-    """The answers of ``g`` to every query, neighbors and edge probes at
-    ``nodes`` only; ``edges`` and ``edge_keys`` must be int64."""
+    """The answers of ``g`` to every query, neighbors at ``nodes`` only;
+    ``edges`` and ``edge_keys`` must be int64."""
     keys, edges = g.edge_keys(), g.edges()
     assert keys.dtype == edges.dtype == np.int64
     return [
@@ -384,7 +375,6 @@ def _queries(g: Graph, nodes: list[int]) -> list:
         edges.tolist(),
         g.degrees().tolist(),
         [g.neighbors(i).tolist() for i in nodes],
-        [g.has_edge(u, v) for u in nodes for v in nodes],
     ]
 
 
@@ -403,7 +393,6 @@ def _oracle_queries(n: int, edges: np.ndarray, nodes: list[int]) -> list:
         np.column_stack(np.divmod(keys, n)).tolist(),
         np.bincount(edges.ravel(), minlength=n).tolist(),
         [sorted(neighbors[i]) for i in nodes],
-        [b in neighbors[a] for a in nodes for b in nodes],
     ]
 
 
@@ -429,9 +418,10 @@ def _check_width(g: Graph, edges: np.ndarray) -> None:
 @example((65536, _top_edges(65536), 0))
 @example((65537, _top_edges(65537), 0))
 def test_columns_take_the_smallest_type_that_holds_n_minus_1(case):
-    # every route that builds a CSR: from_edges, _slots_to_csr, _gather
-    # (a masked graph's read), _map_keys and _keys_to_csr (a relabeled
-    # graph's read) and generate, with its parent drawn by gaps and at p = 1
+    # every route that builds a CSR: from_edges and _slots_to_csr (keys and
+    # slots), _gather (a masked graph's read), _map_keys and _slots_to_csr (a
+    # relabeled graph's read) and generate, with its parent drawn by gaps
+    # and at p = 1
     n, edges, seed = case
     rng = make_rng(seed)
     keep = rng.random(edges.shape[0]) < 0.5
@@ -439,7 +429,7 @@ def test_columns_take_the_smallest_type_that_holds_n_minus_1(case):
     _check_width(Graph.from_edges(n, edges), edges)
     u, v = edges.T
     slots = u * n - u * (u + 1) // 2 + v - u - 1
-    starts, cols = _slots_to_csr(slots, n)
+    starts, cols = _slots_to_csr(slots, _row_first_slots(n))
     assert cols.dtype == np.min_scalar_type(n - 1)
     _check_width(Graph(n, starts, cols), edges)
     _check_width(_masked(Graph.from_edges(n, edges), keep), edges[keep])
@@ -522,7 +512,7 @@ def test_deferred_keys_read_by_threads_at_once():
     rng = make_rng(7)
     # any sorted unique slots below C(n, 2) are edges after _slots_to_csr
     slots = np.sort(rng.choice(4000 * 3999 // 2, 300_000, replace=False))
-    g = Graph(4000, *_slots_to_csr(slots, 4000))
+    g = Graph(4000, *_slots_to_csr(slots, _row_first_slots(4000)))
     image = rng.permutation(4000)
     expected = Graph.from_edges(4000, image[g.edges()]).edge_keys()
     interval = sys.getswitchinterval()
@@ -572,7 +562,8 @@ def test_slots_to_keys_at_row_boundaries(n):
     # sorted unique rows: at n = 3, rows 0 and 1 are also n - 3 and n - 2
     rows = tuple(sorted({0, 1, n - 3, n - 2}))
     expected = [pair for i in rows for pair in ([i, i + 1], [i, n - 1])]
-    starts, cols = _slots_to_csr(np.array(_boundary_slots(n, rows), dtype=np.int64), n)
+    slots = np.array(_boundary_slots(n, rows), dtype=np.int64)
+    starts, cols = _slots_to_csr(slots, _row_first_slots(n))
     assert cols.dtype == np.min_scalar_type(n - 1)
     assert starts.dtype == np.int64 and starts.size == n + 1
     assert Graph(n, starts, cols).edges().tolist() == expected
@@ -608,11 +599,44 @@ def test_slots_to_keys_matches_per_slot_search(case, block):
     expected = _slots_to_keys_by_slot(slots, n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_BLOCK", block)
-        starts, cols = _slots_to_csr(slots.copy(), n)
+        starts, cols = _slots_to_csr(slots, _row_first_slots(n))
     assert cols.dtype == np.min_scalar_type(n - 1) and np.array_equal(cols, expected % n)
     assert starts.dtype == np.int64
     assert np.array_equal(starts, expected.searchsorted(np.arange(n + 1) * n))
     assert np.array_equal(Graph(n, starts, cols).edge_keys(), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edges_at_width_limits(), _BLOCKS)
+@example((2, _top_edges(2), 0), 1)
+@example((256, _top_edges(256), 0), 1)
+@example((257, _top_edges(257), 0), 1)
+@example((65536, _top_edges(65536), 0), 1)
+@example((65537, _top_edges(65537), 0), 1)
+@example((8, np.empty((0, 2), dtype=np.int64), 0), model._BLOCK)
+def test_slots_and_keys_decode_to_one_csr(case, block):
+    # one decoder: an edge set's row-major slots against the slot table and
+    # its keys u*n + v against the key table give the same CSR; the inputs
+    # are read-only, so a decoder that wrote to them would raise
+    n, edges, _ = case
+    u, v = edges.T
+    slots, keys = u * n - u * (u + 1) // 2 + v - u - 1, u * n + v
+    slots.setflags(write=False)
+    keys.setflags(write=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_BLOCK", block)
+        starts, cols = _slots_to_csr(slots, _row_first_slots(n))
+        key_starts, key_cols = _slots_to_csr(keys, _row_first_keys(n))
+    assert starts.dtype == key_starts.dtype == np.int64 and starts.size == n + 1
+    assert cols.dtype == key_cols.dtype == np.min_scalar_type(n - 1)
+    assert np.array_equal(starts, key_starts) and np.array_equal(cols, key_cols)
+    assert Graph(n, key_starts, key_cols).edges().tolist() == edges.tolist()
+
+
+def test_from_edges_refuses_more_nodes_than_the_cap():
+    # the row table alone would take 8 B per node
+    with pytest.raises(CapacityError, match="node limit"):
+        Graph.from_edges(MAX_NODES + 1, [])
 
 
 # -- generator ----------------------------------------------------------------
@@ -657,7 +681,7 @@ def _csr_of_size(size: int) -> tuple[int, np.ndarray, np.ndarray]:
     """``(n, starts, cols)`` of a graph of ``size`` edges at every third
     slot, so that its rows hold a few edges each."""
     n = math.isqrt(6 * size) + 2
-    return (n, *_slots_to_csr(np.arange(size, dtype=np.int64) * 3, n))
+    return (n, *_slots_to_csr(np.arange(size, dtype=np.int64) * 3, _row_first_slots(n)))
 
 
 def _packed(keep: np.ndarray) -> np.ndarray:
@@ -860,7 +884,7 @@ def test_generate_relabel_consistency():
     b_prime = inst.g_b.relabeled(inst.pi_star.inverse().as_array())
     img = inst.pi_star.as_array()
     for u, v in b_prime.edges():
-        assert inst.g_b.has_edge(img[u], img[v])
+        assert img[u] in inst.g_b.neighbors(img[v])
     assert b_prime.num_edges == inst.g_b.num_edges
 
 

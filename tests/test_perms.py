@@ -7,8 +7,9 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from align_lab import (
@@ -35,6 +36,34 @@ def test_permutation_validation():
         Permutation([1, 2, 3])
     with pytest.raises(ParameterError):
         Permutation([])
+
+
+_IMAGES = st.one_of(
+    st.integers(0, 9).flatmap(lambda n: st.permutations(range(n))),
+    st.lists(st.integers(-3, 10), max_size=10),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_IMAGES, st.booleans())
+@example([], False)
+@example([0], False)
+@example([0], True)
+@example([1], False)
+@example([-1], True)
+@example([0, 0], False)
+@example([1, 1, 0], True)
+@example([0, 2], False)
+@example([0, -1, 2], True)
+@example([1, -2], False)  # -2 would mark node 0 without the range check
+def test_permutation_check_matches_the_sort_oracle(image, as_array):
+    # a bijection on range(n) exactly when the sorted image is arange(n)
+    arr = np.array(image, dtype=np.int64)
+    if arr.size and np.array_equal(np.sort(arr), np.arange(arr.size)):
+        assert Permutation(arr if as_array else image).image == tuple(image)
+    else:
+        with pytest.raises(ParameterError):
+            Permutation(arr if as_array else image)
 
 
 def test_inverse_and_compose():

@@ -40,7 +40,7 @@ from align_lab.model import _er_parent
 
 def _random_graph(n: int, p: float, rng) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return Graph.from_edges(n, edges) if edges else Graph.empty(n)
+    return Graph.from_edges(n, edges)
 
 
 # -- intersection graph -------------------------------------------------------
@@ -55,7 +55,7 @@ def test_intersection_empty_ga():
     g_b = Graph.complete(5)
     for image in itertools.permutations(range(5)):
         pi = Permutation(list(image))
-        assert intersection_graph(Graph.empty(5), g_b, pi).num_edges == 0
+        assert intersection_graph(Graph.from_edges(5, []), g_b, pi).num_edges == 0
 
 
 def test_intersection_density_is_qs_at_pistar():
@@ -108,7 +108,9 @@ def test_intersection_queries_match_set_oracle(case):
 
 def test_intersection_size_mismatch():
     with pytest.raises(ParameterError):
-        intersection_graph(Graph.empty(3), Graph.empty(4), Permutation.identity(3))
+        intersection_graph(
+            Graph.from_edges(3, []), Graph.from_edges(4, []), Permutation.identity(3)
+        )
 
 
 @pytest.mark.parametrize("size", [3, 5])
@@ -152,7 +154,7 @@ def _dense_or_sparse_pair(draw, max_n=300):
     def graph():
         kind = draw(st.sampled_from(["empty", "complete", "random"]))
         if kind != "random":
-            return Graph.empty(n) if kind == "empty" else Graph.complete(n)
+            return Graph.from_edges(n, []) if kind == "empty" else Graph.complete(n)
         keep = make_rng(draw(st.integers(0, 2**32 - 1))).random(n * (n - 1) // 2)
         pairs = np.column_stack(np.triu_indices(n, k=1))
         return Graph.from_edges(n, pairs[keep < draw(st.floats(0.0, 1.0))])
@@ -172,7 +174,7 @@ def _stored_forms(g_a: Graph, g: Graph, pi: Permutation) -> list[tuple[Graph, Gr
     n = g.n
     image, other = pi.as_array(), pi.as_array()[::-1]
     parent = np.union1d(g_a.edge_keys(), g.edge_keys())
-    csr = model._keys_to_csr(parent, n)
+    csr = model._slots_to_csr(parent, model._row_first_keys(n))
 
     def masked(h):
         return Graph(n, *csr, np.packbits(np.isin(parent, h.edge_keys()), bitorder="little"))
@@ -185,7 +187,7 @@ def _stored_forms(g_a: Graph, g: Graph, pi: Permutation) -> list[tuple[Graph, Gr
     return forms
 
 
-_K6, _EMPTY6 = Graph.complete(6), Graph.empty(6)
+_K6, _EMPTY6 = Graph.complete(6), Graph.from_edges(6, [])
 _K40 = Graph.complete(40)
 _ONE40 = Graph.from_edges(40, [(3, 17)])
 _IDENTITY6, _REVERSE6 = Permutation.identity(6), Permutation([5, 4, 3, 2, 1, 0])
@@ -240,6 +242,33 @@ def test_matched_keys_match_intersect1d_for_any_block(case, block):
         assert np.array_equal(keys, expected)
         u, v = np.divmod(expected, g.n)
         assert np.array_equal(degrees, np.bincount(u, minlength=g.n) + np.bincount(v, minlength=g.n))
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_general_intersection_is_a_under_a_mask(extra):
+    # under a pi that maps B, the intersection is A's own CSR under a packed
+    # mask of the A edges found in B; with one key short of, exactly at and
+    # one past a mask block, the mask's last byte is partial, full, partial
+    m = model._mask_step() + extra
+    n, rng = 400, make_rng(m)
+
+    def graph():
+        slots = np.sort(rng.choice(math.comb(n, 2), m, replace=False))
+        return Graph(n, *model._slots_to_csr(slots, model._row_first_slots(n)))
+
+    g_a, g_b = graph(), graph()
+    pi = Permutation.random(n, rng)
+    starts, cols, mask, image = model._intersection(g_a, g_b, pi)._stored
+    a_starts, a_cols, _, _ = g_a._stored
+    assert starts is a_starts and cols is a_cols and image is None
+    assert mask.dtype == np.uint8 and mask.size == -(-m // 8)
+    assert mask[-1] >> (m % 8 or 8) == 0  # the unused bits of the last byte
+    expected = np.intersect1d(
+        g_a.edge_keys(), _mapped_by_divmod(g_b, pi.inverse()), assume_unique=True
+    )
+    assert 0 < expected.size < m
+    gathered = Graph(n, *model._gather(starts, cols, mask))
+    assert np.array_equal(gathered.edge_keys(), expected)
 
 
 # -- goodness -----------------------------------------------------------------
@@ -394,7 +423,7 @@ def test_pistar_trial_resident_memory_per_parent_edge():
 
 
 def test_is_good_alpha_validation():
-    g = Graph.empty(4)
+    g = Graph.from_edges(4, [])
     with pytest.raises(ParameterError):
         is_good(g, g, Permutation.identity(4), ModelParams(4, 0.5, 0.5), 1.0)
 
@@ -451,7 +480,7 @@ def test_find_good_limit():
 
 
 def test_find_good_size_guard():
-    g = Graph.empty(11)
+    g = Graph.from_edges(11, [])
     with pytest.raises(CapacityError):
         find_good(g, g, ModelParams(11, 0.3, 0.6), alpha=0.5)
 
@@ -469,7 +498,7 @@ def test_rigid_graph_is_rigid():
     autos = 0
     for image in itertools.permutations(range(7)):
         pi = np.array(image)
-        if all(g.has_edge(pi[u], pi[v]) for u, v in g.edges()):
+        if all(pi[v] in g.neighbors(pi[u]) for u, v in g.edges()):
             autos += 1
     assert autos == 1
 
@@ -484,7 +513,7 @@ def test_map_recovers_planted_isomorphism():
 
 
 def test_map_empty_graph_returns_identity():
-    assert map_estimate(Graph.empty(4), Graph.empty(4)) == Permutation.identity(4)
+    assert map_estimate(Graph.from_edges(4, []), Graph.from_edges(4, [])) == Permutation.identity(4)
 
 
 def test_map_tie_break_is_lexicographic():
@@ -505,7 +534,7 @@ def test_map_objective_is_maximal():
 
 
 def test_map_size_guard():
-    g = Graph.empty(12)
+    g = Graph.from_edges(12, [])
     with pytest.raises(CapacityError):
         map_estimate(g, g)
 
@@ -555,11 +584,11 @@ _SEARCH_CASES_7 = {
     "hit-at-3": (lambda: _generated(2, 0.6), 3, "scan"),
     "no-hit": (lambda: _generated(0, 0.6), None, "bound"),
     "no-hit-full-scan": (lambda: _generated(11, 0.4), None, "scan"),
-    "empty-graphs": (lambda: (Graph.empty(7), Graph.empty(7), _ER_7, 0.6), None, "bound"),
-    "empty-a": (lambda: (Graph.empty(7), _rigid_graph(), _ER_7, 0.6), None, "bound"),
-    "empty-b": (lambda: (_rigid_graph(), Graph.empty(7), _ER_7, 0.4), None, "bound"),
+    "empty-graphs": (lambda: (Graph.from_edges(7, []), Graph.from_edges(7, []), _ER_7, 0.6), None, "bound"),
+    "empty-a": (lambda: (Graph.from_edges(7, []), _rigid_graph(), _ER_7, 0.6), None, "bound"),
+    "empty-b": (lambda: (_rigid_graph(), Graph.from_edges(7, []), _ER_7, 0.4), None, "bound"),
     "empty-graphs-q0": (
-        lambda: (Graph.empty(7), Graph.empty(7), ModelParams(7, 0.0, 0.5), 0.6), 1, "scan"
+        lambda: (Graph.from_edges(7, []), Graph.from_edges(7, []), ModelParams(7, 0.0, 0.5), 0.6), 1, "scan"
     ),
 }
 
@@ -625,7 +654,7 @@ def test_lex_table_is_itertools_order_and_read_only(k):
 def test_scan_walks_prefixes_in_itertools_order(n):
     # 2 * 8! + 5 rows cross two prefix boundaries of the 8-table
     budget = 2 * math.factorial(8) + 5
-    g = Graph.empty(n)
+    g = Graph.from_edges(n, [])
     rows = np.concatenate([order[local].T for _, order, local, _ in recovery._scan(g.edges(), g, budget)])
     expected = np.array(list(itertools.islice(itertools.permutations(range(n)), budget)))
     assert np.array_equal(rows, expected)
@@ -681,7 +710,7 @@ def test_k_core_examples():
 
 
 def test_k_core_zero_keeps_everything():
-    g = Graph.empty(5)
+    g = Graph.from_edges(5, [])
     assert k_core(g, 0).members == (0, 1, 2, 3, 4)
 
 
@@ -738,12 +767,12 @@ def test_k_core_order_invariance():
 def test_k_core_rejects_peel_order_that_is_not_a_permutation(order):
     # [0] alone would never scan the isolated nodes 1 and 2 and keep them in the 1-core
     with pytest.raises(ParameterError):
-        k_core(Graph.empty(3), 1, peel_order=order)
+        k_core(Graph.from_edges(3, []), 1, peel_order=order)
 
 
 def test_k_core_rejects_negative_k():
     with pytest.raises(ParameterError):
-        k_core(Graph.empty(3), -1)
+        k_core(Graph.from_edges(3, []), -1)
 
 
 def test_core_fraction_implies_goodness():

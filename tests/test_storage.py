@@ -29,9 +29,9 @@ def test_graph_roundtrip(tmp_path):
 
 def test_empty_graph_roundtrip(tmp_path):
     path = tmp_path / "empty.edges"
-    write_graph(Graph.empty(3), path)
+    write_graph(Graph.from_edges(3, []), path)
     assert path.read_text() == "3 0\n"
-    assert read_graph(path) == Graph.empty(3)
+    assert read_graph(path) == Graph.from_edges(3, [])
 
 
 def test_read_graph_rejects_malformed(tmp_path):
