@@ -26,11 +26,16 @@ lexicographically first hit.  The image lists come from one read-only int8
 table of all k! lists of range(k), k = min(n, 8), built once per k with
 numpy and cached (322 KB at k = 8).  For n > 8 the scan walks the
 length-(n - 8) prefixes in lexicographic order and follows each with the
-8-table mapped through the labels the prefix leaves, so memory stays at
-the table's size whatever n and the budget are.  Instead of mapping the
-table, B's dense adjacency is relabeled once per prefix (prefix labels
-first, then the rest in increasing order), and each batch gathers its
-matches through one flat index into it, computed from the table's columns.
+8-table mapped through the labels the prefix leaves.  Instead of mapping
+the table, B's dense adjacency is read in the prefix's labels (prefix
+labels first, then the rest in increasing order).  A second cached table
+holds, for every pair a < b of table positions, every candidate's flat
+index ``table[:, a] * k + table[:, b]`` into the k x k block of B over the
+last k labels ((C(k, 2), k!) uint8, 1.13 MB at k = 8), so a batch of
+A's edges among those labels is one gather.  Besides B's dense adjacency
+and a search's incidence of A, which a forced scan checks against
+MAX_SCAN_BYTES before it allocates, memory stays at the two tables and
+one batch whatever n and the budget are.
 
 Two exact exits skip enumeration without changing any result:
 
@@ -60,6 +65,8 @@ from .perms import Permutation
 
 # n! enumeration beyond this needs an explicit override.
 MAX_EXHAUSTIVE_N = 10
+# A forced scan whose arrays would take more bytes than this is refused.
+MAX_SCAN_BYTES = 256 * 2**20
 
 _CHUNK = 2048
 # Image lists come from the cached table of all _TABLE_K! lists (8! * 8 bytes)
@@ -161,6 +168,30 @@ def _lex_table(k: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_table(k: int) -> np.ndarray:
+    """Flat k x k index of every candidate for every pair of table positions,
+    (C(k, 2), k!) uint8, read-only (1.13 MB at k = 8).
+
+    Row r, for the pair a < b at ``np.triu_indices(k, 1)``'s r-th place,
+    holds ``table[:, a] * k + table[:, b]``: where candidate c sends the
+    labels a and b, as one index into a k x k block.
+    """
+    cols = _lex_table(k).T.astype(np.uint8)
+    a, b = np.triu_indices(k, 1)
+    pairs = cols[a]
+    pairs *= k
+    pairs += cols[b]
+    pairs.flags.writeable = False
+    return pairs
+
+
+def _image(order: np.ndarray, k: int, index: int) -> np.ndarray:
+    """Image list of candidate ``index`` of the k-table under the prefix of ``order``."""
+    p = order.size - k
+    return np.concatenate([order[:p], order[p:][_lex_table(k)[index]]])
+
+
 def _dense_adjacency(g: Graph) -> np.ndarray:
     mat = np.zeros((g.n, g.n), dtype=bool)
     e = g.edges()
@@ -169,43 +200,78 @@ def _dense_adjacency(g: Graph) -> np.ndarray:
     return mat
 
 
-def _check_exhaustive_size(n: int, force_large: bool) -> None:
-    if n > MAX_EXHAUSTIVE_N and not force_large:
+def _check_exhaustive_size(g_a: Graph, force_large: bool, search: bool) -> None:
+    """Refuse n > MAX_EXHAUSTIVE_N without ``force_large``, and a forced scan
+    whose arrays would exceed MAX_SCAN_BYTES, before anything is allocated."""
+    n = g_a.n
+    if n <= MAX_EXHAUSTIVE_N:
+        return
+    if not force_large:
         raise CapacityError(
             f"exhaustive enumeration over {n}! permutations needs force_large=True"
+        )
+    # B's dense adjacency and one batch of matches; a search adds A's float32
+    # incidence and, per batch, the matches as float32 and the degree matrix.
+    m = g_a.num_edges
+    held = n * n + _CHUNK * m
+    if search:
+        held += 4 * (n * m + _CHUNK * (m + n))
+    if held > MAX_SCAN_BYTES:
+        raise CapacityError(
+            f"an exhaustive scan at n = {n} with {m} edges in A needs about {held} bytes, "
+            f"over the limit of {MAX_SCAN_BYTES}"
         )
 
 
 def _scan(
     e: np.ndarray, g_b: Graph, budget: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int, np.ndarray, int, np.ndarray]]:
     """The first ``budget`` image lists in lexicographic order.
 
-    The image lists are the length-(n - k) prefixes, k = min(n, _TABLE_K), in
-    lexicographic order, each followed by the k-table mapped through the
-    labels that the prefix leaves.  Yields ``(offset, order, local, matched)``
-    per batch: column c of ``order[local]`` is the image list of candidate
-    ``offset + c`` (0-based), and ``matched[j, c]`` says whether A's edge
-    ``e[j]`` lands on an edge of B under it, where ``e`` is ``g_a.edges()``,
-    read once by the caller.  B's adjacency is relabeled by ``order`` once
-    per prefix, so the batches gather straight from ``local``.  Callers
-    check the graph sizes first.
+    The image lists are the length-p prefixes, p = n - k and
+    k = min(n, _TABLE_K), in lexicographic order, each followed by the
+    k-table mapped through the labels that the prefix leaves.  Yields
+    ``(offset, order, start, matched)`` per batch: ``_image(order, k,
+    start + c)`` is the image list of candidate ``offset + c`` (0-based),
+    and ``matched[j, c]`` says whether A's edge ``e[j]`` lands on an edge of
+    B under it, where ``e`` is ``g_a.edges()`` (u < v, sorted), read once by
+    the caller.  Callers check the graph sizes first.
+
+    In B relabeled by ``order``, candidate c keeps the labels below p and
+    sends p + a to p + table[c, a].  So an edge with both endpoints at or
+    above p reads the k x k block of relabeled B over those labels through
+    its row of the pair table.  An edge with u < p reads one entry of u's
+    row of B, the same for every candidate of the prefix, unless p <= v:
+    then it reads that row's last k entries through column v - p of the
+    table.  As e is sorted, the edges with u < p come first; at
+    n <= _TABLE_K there are none.
     """
     n = g_b.n
     k = min(n, _TABLE_K)
-    table = _lex_table(k)
+    p = n - k
+    table, pairs = _lex_table(k), _pair_table(k)
     b_adj = _dense_adjacency(g_b)
+    low = int(np.searchsorted(e[:, 0], p))
+    (u, v), (a, b) = e[:low].T, e[low:].T - p
+    inner_rows = a * (2 * k - a - 1) // 2 + b - a - 1  # place of (a, b) in np.triu_indices(k, 1)
+    cross = np.flatnonzero(v >= p)
+    cross_cols = v[cross] - p
     offset = 0
-    for prefix in itertools.permutations(range(n), n - k):
+    for prefix in itertools.permutations(range(n), p):
         order = np.array(prefix + tuple(x for x in range(n) if x not in prefix), dtype=np.intp)
-        b_flat = b_adj[np.ix_(order, order)].ravel()
+        rest = order[p:]
+        block = b_adj[np.ix_(rest, rest)].ravel()
+        low_hits = b_adj[order[u], order[v]]
+        cross_rows = b_adj[np.ix_(order[u[cross]], rest)]
         for start in range(0, table.shape[0], _CHUNK):
             stop = min(start + _CHUNK, table.shape[0], start + budget - offset)
-            local = np.empty((n, stop - start), dtype=np.intp)
-            local[: n - k] = np.arange(n - k)[:, None]
-            local[n - k :] = table[start:stop].T
-            local[n - k :] += n - k
-            yield offset, order, local, b_flat[local[e[:, 0]] * n + local[e[:, 1]]]
+            matched = np.empty((e.shape[0], stop - start), dtype=bool)
+            if low:
+                matched[:low] = low_hits[:, None]
+                matched[cross] = np.take_along_axis(cross_rows, table[start:stop, cross_cols].T, axis=1)
+            # mode="clip" writes straight into out; the default mode buffers it
+            block.take(pairs[inner_rows, start:stop], out=matched[low:], mode="clip")
+            yield offset, order, start, matched
             offset += stop - start
             if offset >= budget:
                 return
@@ -230,7 +296,7 @@ def find_good(
     if limit is not None and limit < 1:
         raise ParameterError(f"limit must be positive, got {limit}")
     n = _check_same_size(g_a, g_b)
-    _check_exhaustive_size(n, force_large)
+    _check_exhaustive_size(g_a, force_large, search=True)
 
     threshold = params.nqs / 2.0
     required = n * (1.0 + alpha) / 2.0
@@ -251,12 +317,15 @@ def find_good(
     incidence[e[:, 0], cols] = 1.0
     incidence[e[:, 1], cols] = 1.0
 
-    for offset, order, local, matched in _scan(e, g_b, budget):
+    k = min(n, _TABLE_K)
+    count_type = np.min_scalar_type(n)
+    for offset, order, start, matched in _scan(e, g_b, budget):
         degrees = incidence @ matched.astype(np.float32)
-        hits = np.flatnonzero(np.count_nonzero(degrees >= threshold, axis=0) >= required)
+        high = np.add.reduce(degrees >= threshold, axis=0, dtype=count_type)
+        hits = np.flatnonzero(high >= required)
         if hits.size:
             first = int(hits[0])
-            return SearchResult(Permutation(order[local[:, first]]), offset + first + 1)
+            return SearchResult(Permutation(_image(order, k, start + first)), offset + first + 1)
     return SearchResult(None, budget)
 
 
@@ -264,18 +333,20 @@ def map_estimate(g_a: Graph, g_b: Graph, force_large: bool = False) -> Permutati
     """Exhaustive maximizer of the edge overlap; ties go to the
     lexicographically smallest image list."""
     n = _check_same_size(g_a, g_b)
-    _check_exhaustive_size(n, force_large)
+    _check_exhaustive_size(g_a, force_large, search=False)
     # No objective exceeds min(m_A, m_B); a later candidate must beat the
     # best strictly, so the scan can stop once the best reaches it.
-    ceiling = min(g_a.num_edges, g_b.num_edges)
+    e = g_a.edges()
+    ceiling = min(e.shape[0], g_b.num_edges)
+    k, count_type = min(n, _TABLE_K), np.min_scalar_type(e.shape[0])
     best_obj = -1
     best: np.ndarray | None = None
-    for _, order, local, matched in _scan(g_a.edges(), g_b, math.factorial(n)):
-        obj = matched.sum(axis=0)
+    for _, order, start, matched in _scan(e, g_b, math.factorial(n)):
+        obj = np.add.reduce(matched, axis=0, dtype=count_type)
         top = int(obj.argmax())
-        if obj[top] > best_obj:
+        if int(obj[top]) > best_obj:
             best_obj = int(obj[top])
-            best = order[local[:, top]]
+            best = _image(order, k, start + top)
             if best_obj == ceiling:
                 break
     assert best is not None

@@ -350,6 +350,19 @@ def test_capacity_exit_code(capsys):
     assert "capacity error" in capsys.readouterr().err
 
 
+def test_forced_scans_over_the_byte_limit_exit_3(tmp_path, capsys):
+    out = tmp_path / "big"
+    assert main(["gen", "--n", "20000", "--q", "2e-4", "--s", "0.5", "--seed", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["search", "--instance", str(out), "--alpha", "0.5", "--force-large", "--limit", "1"],
+        ["map", "--instance", str(out), "--force-large"],
+    ):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "capacity error" in err and "Traceback" not in err
+
+
 def test_node_cap_exits_before_any_draw(tmp_path, capsys, monkeypatch):
     # about 1e6 expected parent edges, within the edge budget; the node cap stops both
     drawn = []

@@ -38,6 +38,12 @@ from align_lab import (
 from align_lab.model import _er_parent
 
 
+def _package_env() -> dict[str, str]:
+    """Environment in which a fresh interpreter imports this package."""
+    src = str(Path(recovery.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _random_graph(n: int, p: float, rng) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
@@ -408,8 +414,7 @@ def test_pistar_trial_resident_memory_per_parent_edge():
         pytest.skip("resident growth measured with numpy 2.4.6 only")
     params = ModelParams(20000, 0.013, 0.5)
     parent_edges = _er_parent(params.n, params.parent_p, make_rng(11))[1].size
-    src = str(Path(recovery.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _package_env()
     # On Linux a process starts from its parent's ru_maxrss, kept through
     # fork and exec, so the trial runs under a bare interpreter, which is
     # far smaller than this test process
@@ -655,9 +660,78 @@ def test_scan_walks_prefixes_in_itertools_order(n):
     # 2 * 8! + 5 rows cross two prefix boundaries of the 8-table
     budget = 2 * math.factorial(8) + 5
     g = Graph.from_edges(n, [])
-    rows = np.concatenate([order[local].T for _, order, local, _ in recovery._scan(g.edges(), g, budget)])
+    rows = np.array([
+        recovery._image(order, 8, start + c)
+        for _, order, start, matched in recovery._scan(g.edges(), g, budget)
+        for c in range(matched.shape[1])
+    ])
     expected = np.array(list(itertools.islice(itertools.permutations(range(n)), budget)))
     assert np.array_equal(rows, expected)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_pair_table_is_the_flat_index_of_every_pair(k):
+    pairs = recovery._pair_table(k)
+    table = recovery._lex_table(k).astype(np.int64)
+    a, b = np.triu_indices(k, 1)
+    assert pairs.dtype == np.uint8
+    assert np.array_equal(pairs, (table[:, a] * k + table[:, b]).T)
+    assert not pairs.flags.writeable
+
+
+def test_importing_the_harness_builds_no_pair_table():
+    # runs that never scan (pi* trials, sweeps, decompose) must not pay for it
+    code = "import align_lab.harness, align_lab.recovery as r; print(r._pair_table.cache_info().currsize)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_scan_reads_b_under_every_candidate(n):
+    # A has edges above the prefix labels (below p = n - 8), across them and,
+    # at n = 10, below them; 2 * 8! + 5 candidates span three prefixes
+    p, budget = n - 8, 2 * math.factorial(8) + 5
+    rng = np.random.default_rng(n)
+    g_b = _random_graph(n, 0.5, rng)
+    edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5}
+    edges |= {(0, n - 1), (n - 2, n - 1)} | ({(0, 1)} if p >= 2 else set())
+    g_a = Graph.from_edges(n, sorted(edges))
+    e = g_a.edges()
+    assert set(np.count_nonzero(e >= p, axis=1).tolist()) == ({0, 1, 2} if p >= 2 else {1, 2})
+    b_adj = np.zeros((n, n), dtype=bool)
+    for x, y in g_b.edges():
+        b_adj[x, y] = b_adj[y, x] = True
+    images = np.array(list(itertools.islice(itertools.permutations(range(n)), budget)))
+    batches = list(recovery._scan(e, g_b, budget))
+    widths = [m.shape[1] for *_, m in batches]
+    assert [offset for offset, *_ in batches] == np.cumsum([0] + widths[:-1]).tolist()
+    matched = np.concatenate([m for *_, m in batches], axis=1)
+    assert np.array_equal(matched, b_adj[images[:, e[:, 0]], images[:, e[:, 1]]].T)
+
+
+# a search holds A's n x m_A float32 incidence (about 800 MB at n = 1e4);
+# MAP holds B's dense n x n adjacency and one batch of matches, about 141 MB
+# at n = 1e4 and over the limit at n = 2e4
+@pytest.mark.parametrize(
+    ("n", "q", "refused"), [(10000, 4e-4, ("search",)), (20000, 2e-4, ("search", "map"))]
+)
+def test_forced_scan_over_the_byte_limit_refuses_before_allocating(n, q, refused):
+    inst = generate(ModelParams(n, q, 0.5), 1)
+    calls = {
+        "search": lambda: find_good(inst.g_a, inst.g_b, inst.params, 0.5, limit=1, force_large=True),
+        "map": lambda: map_estimate(inst.g_a, inst.g_b, force_large=True),
+    }
+    for name in refused:
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="bytes"):
+                calls[name]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def _rigid_graph_9() -> Graph:
